@@ -80,12 +80,11 @@ from repro.trace.wavefront import ENGINES
 #: 2 added the optional ``telemetry`` section; 3 added the optional
 #: ``resilience`` section; 4 added the derived ``predictor_throughput``
 #: section and the preset's ``benchmarks`` selector; 5 added the
-#: ``rt_timing`` benchmark (RT-unit cycle simulation, scalar vs vector
-#: engines) with its derived section and timing-preset knobs; 6 added
-#: the ``bvh_build``/``bvh_refit`` benchmarks (level-synchronous vector
-#: builders vs the scalar oracles) with the derived ``bvh_build``
-#: section and build-preset knobs (all additive - older artifacts
-#: remain readable, see :data:`ACCEPTED_SCHEMAS`).
+#: ``rt_timing`` benchmark (RT-unit cycle simulation) with its derived
+#: section; 6 added the ``bvh_build``/``bvh_refit`` benchmarks
+#: (level-synchronous vector builders vs the scalar oracles) with the
+#: derived ``bvh_build`` section and build-preset knobs (all additive -
+#: older artifacts remain readable, see :data:`ACCEPTED_SCHEMAS`).
 BENCH_SCHEMA = "repro-bench/6"
 
 #: Schema tags :func:`load_payload` accepts.  Baselines written before
@@ -124,19 +123,6 @@ class BenchPreset:
     #: ``rt_timing``); the predictor preset times only the simulation
     #: pipeline, the timing preset only the RT-unit cycle simulator.
     benchmarks: Tuple[str, ...] = BENCHMARKS
-    #: RT-unit shape for ``rt_timing`` runs.  The wide-SIMT defaults
-    #: (one 1024-thread warp per SM, iteration barrier) maximize the
-    #: per-step thread density the vectorized engine batches over;
-    #: cycle counts are machine-independent for any fixed shape.
-    timing_warp_size: int = 1024
-    timing_max_warps: int = 1
-    timing_warp_barrier: bool = True
-    timing_num_sms: int = 2
-    #: Also run the predictor-enabled configuration (gated on
-    #: equivalence and counters; its wall-clock speedup is recorded but
-    #: not held to the baseline-config floor - the per-retire predictor
-    #: training is inherently scalar in both engines).
-    timing_predictor: bool = True
     #: Build methods timed by the ``bvh_build`` benchmark, each once
     #: per build engine (vector frontier builder + scalar oracle).
     build_methods: Tuple[str, ...] = ("sah", "median", "lbvh")
@@ -198,12 +184,11 @@ PREDICTOR_PRESET = BenchPreset(
 )
 
 #: RT-unit timing preset: all seven scenes through the discrete-event
-#: cycle simulator, once per engine (vector + scalar oracle) per
-#: configuration (baseline + predictor).  This seeds the
-#: ``BENCH_timing.json`` trajectory: cycles, cache hit rates and DRAM
-#: row-buffer hit rates are exact functions of seed + scene + config
-#: and gate exactly; the vector-over-scalar wall speedup gates with the
-#: usual tolerance floor.
+#: cycle simulator at the paper's shape (``scaled_gpu_config()``: 32-lane
+#: warps, an 8-warp ray buffer), baseline and with
+#: ``scaled_predictor_config()``.  This seeds the ``BENCH_timing.json``
+#: trajectory: cycles gate exactly; cache and DRAM row-buffer hit rates
+#: gate within the tolerance.
 TIMING_PRESET = BenchPreset(
     name="timing",
     scenes=("SB", "SP", "LE", "LR", "FR", "BI", "CK"),
@@ -345,40 +330,28 @@ def _sim_record(
     )
 
 
-def _timing_config(preset: BenchPreset, predictor: bool):
-    """The pinned GPU configuration for ``rt_timing`` runs."""
-    from repro.core.predictor import PredictorConfig
-    from repro.gpu.config import GPUConfig, RTUnitConfig
-
-    return GPUConfig(
-        num_sms=preset.timing_num_sms,
-        rt_unit=RTUnitConfig(
-            warp_size=preset.timing_warp_size,
-            max_warps=preset.timing_max_warps,
-            warp_barrier=preset.timing_warp_barrier,
-        ),
-        predictor=PredictorConfig() if predictor else None,
-    )
-
-
 def _timing_record(
-    scene_code: str, engine: str, bvh, rays, preset: BenchPreset,
-    predictor_enabled: bool,
+    scene_code: str, bvh, rays, preset: BenchPreset, predictor_enabled: bool,
 ) -> BenchRecord:
     """One RT-unit cycle-simulation run (``rt_timing`` benchmark).
 
-    ``engine`` is an RT-unit timing engine (``vector``/``scalar``), not
-    a traversal engine.  Cycles, fetch counters and hit rates are exact
-    functions of seed + scene + config and identical across engines;
-    wall time is what the vectorized engine buys.
+    Runs at the paper's shape (``scaled_gpu_config()``).  Cycles, fetch
+    counters and hit rates are exact functions of seed + scene + config;
+    wall time is recorded for trend-watching only.
     """
+    from repro.analysis.experiments import (
+        scaled_gpu_config,
+        scaled_predictor_config,
+    )
     from repro.gpu.simulator import simulate_workload
 
     sub = rays.subset(np.arange(min(preset.sim_rays, len(rays))))
-    config = _timing_config(preset, predictor_enabled)
+    config = scaled_gpu_config(
+        scaled_predictor_config() if predictor_enabled else None
+    )
 
     def run():
-        return simulate_workload(bvh, sub, config, engine=engine)
+        return simulate_workload(bvh, sub, config)
 
     wall, out = _timed(run, preset.repeats)
     n = len(sub)
@@ -396,7 +369,7 @@ def _timing_record(
     return BenchRecord(
         benchmark="rt_timing_predictor" if predictor_enabled else "rt_timing",
         scene=scene_code,
-        engine=engine,
+        engine="scalar",
         rays=n,
         wall_time_s=round(wall, 6),
         rays_per_sec=round(n / wall, 1) if wall > 0 else float("inf"),
@@ -424,9 +397,9 @@ def _build_records(
     from repro.bvh.stats import compute_stats
     from repro.bvh.vector import trees_identical
 
-    # Engine pair follows the degradation rung like ``rt_timing``: the
-    # full rung times vector against the scalar oracle; degraded rungs
-    # keep scalar only, dropping the speedup but keeping the tree stats.
+    # Engine pair follows the degradation rung: the full rung times
+    # vector against the scalar oracle; degraded rungs keep scalar
+    # only, dropping the speedup but keeping the tree stats.
     build_engines = (
         ("vector", "scalar") if "wavefront" in engines else ("scalar",)
     )
@@ -562,28 +535,17 @@ def _scene_records(
                     f"{rec.wall_time_s * 1e3:8.1f} ms  {rec.rays_per_sec:>12,.0f} rays/s"
                 )
         if "rt_timing" in selected:
-            # Engine pair follows the degradation rung: the full rung
-            # ("wavefront" in the traversal-engine set) times vector
-            # against the scalar oracle; degraded rungs keep scalar
-            # only, dropping the speedup but preserving the counters.
-            timing_engines = (
-                ("vector", "scalar") if "wavefront" in engines else ("scalar",)
-            )
-            variants = [False]
-            if preset.timing_predictor and predictor_enabled:
-                variants.append(True)
+            variants = (False, True) if predictor_enabled else (False,)
             for with_predictor in variants:
-                for engine in timing_engines:
-                    rec = _timing_record(
-                        code, engine, bvh, rays, preset,
-                        predictor_enabled=with_predictor,
-                    )
-                    records.append(rec)
-                    say(
-                        f"[{code}] {rec.benchmark:16s} {engine:9s} "
-                        f"{rec.wall_time_s * 1e3:8.1f} ms  "
-                        f"cycles={int(rec.extra['cycles'])}"
-                    )
+                rec = _timing_record(
+                    code, bvh, rays, preset, predictor_enabled=with_predictor,
+                )
+                records.append(rec)
+                say(
+                    f"[{code}] {rec.benchmark:16s} {rec.engine:9s} "
+                    f"{rec.wall_time_s * 1e3:8.1f} ms  "
+                    f"cycles={int(rec.extra['cycles'])}"
+                )
     return records
 
 
@@ -1031,49 +993,24 @@ def _rt_timing_section(
 ) -> Dict[str, dict]:
     """Per-scene RT-unit timing summary (schema 5).
 
-    ``cycles`` (and the hit rates) are machine-independent and gate
-    exactly; ``engines_agree`` asserts the vector engine matched the
-    scalar oracle's cycles and counters in *this* run;
-    ``speedup_vector_over_scalar`` is the wall-clock ratio on the
-    baseline (no-predictor) configuration, gated against a tolerance
-    floor like the traversal speedups.
+    ``cycles`` / ``cycles_predictor`` are machine-independent and gate
+    exactly; the hit rates gate within the tolerance.
     """
     section: Dict[str, dict] = {}
     for code in scene_codes:
-        base_v = by_key.get(("rt_timing", code, "vector"))
-        base_s = by_key.get(("rt_timing", code, "scalar"))
-        pred_v = by_key.get(("rt_timing_predictor", code, "vector"))
-        pred_s = by_key.get(("rt_timing_predictor", code, "scalar"))
+        base = by_key.get(("rt_timing", code, "scalar"))
+        pred = by_key.get(("rt_timing_predictor", code, "scalar"))
         row: Dict[str, object] = {}
-        primary = base_v or base_s
-        if primary is not None:
-            row["cycles"] = primary.extra["cycles"]
+        if base is not None:
+            row["cycles"] = base.extra["cycles"]
             for key in ("l1_hit_rate", "l2_hit_rate", "dram_row_hit_rate"):
-                row[key] = primary.extra[key]
-        pred_primary = pred_v or pred_s
-        if pred_primary is not None:
-            row["cycles_predictor"] = pred_primary.extra["cycles"]
-            if primary is not None and pred_primary.extra["cycles"]:
+                row[key] = base.extra[key]
+        if pred is not None:
+            row["cycles_predictor"] = pred.extra["cycles"]
+            if base is not None and pred.extra["cycles"]:
                 row["cycle_speedup_predictor"] = round(
-                    primary.extra["cycles"] / pred_primary.extra["cycles"], 4
+                    base.extra["cycles"] / pred.extra["cycles"], 4
                 )
-        pairs = [(base_v, base_s), (pred_v, pred_s)]
-        checked = [(v, s) for v, s in pairs if v is not None and s is not None]
-        if checked:
-            row["engines_agree"] = all(
-                v.extra["cycles"] == s.extra["cycles"]
-                and v.node_fetches == s.node_fetches
-                and v.tri_fetches == s.tri_fetches
-                for v, s in checked
-            )
-        if base_v is not None and base_s is not None and base_v.wall_time_s > 0:
-            row["speedup_vector_over_scalar"] = round(
-                base_s.wall_time_s / base_v.wall_time_s, 3
-            )
-        if pred_v is not None and pred_s is not None and pred_v.wall_time_s > 0:
-            row["speedup_vector_over_scalar_predictor"] = round(
-                pred_s.wall_time_s / pred_v.wall_time_s, 3
-            )
         if row:
             section[code] = row
     return section
@@ -1253,14 +1190,6 @@ def compare_payloads(
                     f"{int(base_row[key])} -> {int(cur_value)} "
                     "(cycle counts gate exactly)"
                 )
-        # The vector engine must agree with the scalar oracle *in the
-        # current run* - this is the differential gate, not a drift one.
-        if base_row.get("engines_agree") and cur_row.get("engines_agree") is not True:
-            problems.append(
-                f"rt_timing/{code}: vector engine no longer matches the "
-                "scalar oracle (engines_agree is "
-                f"{cur_row.get('engines_agree')!r})"
-            )
         for key in ("l1_hit_rate", "l2_hit_rate", "dram_row_hit_rate"):
             base_value = base_row.get(key)
             if base_value is None:
@@ -1279,22 +1208,6 @@ def compare_payloads(
                     f"rt_timing/{code}: {key} drifted {drift:.1%} "
                     f"({base_value} -> {cur_value})"
                 )
-        base_speedup = base_row.get("speedup_vector_over_scalar")
-        cur_speedup = cur_row.get("speedup_vector_over_scalar")
-        if base_speedup is not None:
-            if cur_speedup is None:
-                problems.append(
-                    f"rt_timing/{code}: vector speedup missing from current "
-                    f"run (baseline {base_speedup}x)"
-                )
-            else:
-                floor = base_speedup * (1.0 - tolerance)
-                if cur_speedup < floor:
-                    problems.append(
-                        f"rt_timing/{code}: vector speedup regressed to "
-                        f"{cur_speedup}x (baseline {base_speedup}x, "
-                        f"floor {floor:.2f}x)"
-                    )
 
     base_build = baseline.get("derived", {}).get("bvh_build", {})
     cur_build = current.get("derived", {}).get("bvh_build", {})
@@ -1428,12 +1341,9 @@ def summarize(payload: dict) -> str:
         )
     rt = payload.get("derived", {}).get("rt_timing", {})
     for code, row in rt.items():
-        speedup = row.get("speedup_vector_over_scalar")
-        speedup_txt = f"{speedup}x" if speedup is not None else "-"
         lines.append(
             f"  rt_timing {code}: cycles={int(row.get('cycles', 0))}  "
-            f"vector/scalar {speedup_txt}  "
-            f"agree={row.get('engines_agree', '-')}  "
+            f"predictor speedup {row.get('cycle_speedup_predictor', '-')}x  "
             f"row-hit {row.get('dram_row_hit_rate', 0.0):.1%}"
         )
     build = payload.get("derived", {}).get("bvh_build", {})

@@ -4,8 +4,7 @@ The scalar builders in :mod:`repro.bvh.builder` process one node per
 Python iteration; this module processes the *entire frontier* of open
 nodes at one depth per pass, so the number of kernel launches is bounded
 by tree depth rather than node count - the same ray-stream discipline
-:mod:`repro.trace.wavefront` and :mod:`repro.gpu.vec_rt_unit` apply to
-traversal and timing.
+:mod:`repro.trace.wavefront` applies to traversal.
 
 Per level, for all open segments of the shared triangle ``order`` array
 at once:

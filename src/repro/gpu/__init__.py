@@ -23,7 +23,6 @@ from repro.gpu.dram import DRAM, DRAMStats
 from repro.gpu.memory import MemoryHierarchy
 from repro.gpu.rt_unit import RTUnit, RTUnitResult
 from repro.gpu.simulator import SimOutput, simulate_workload
-from repro.gpu.vec_rt_unit import RT_ENGINES, VectorRTUnit, make_rt_unit
 
 __all__ = [
     "Cache",
@@ -35,12 +34,9 @@ __all__ = [
     "GPUConfig",
     "MemoryConfig",
     "MemoryHierarchy",
-    "RT_ENGINES",
     "RTUnit",
     "RTUnitConfig",
     "RTUnitResult",
     "SimOutput",
-    "VectorRTUnit",
-    "make_rt_unit",
     "simulate_workload",
 ]

@@ -286,6 +286,78 @@ class TestBuildRegressionGate:
         assert any("scene missing" in p for p in problems)
 
 
+#: Timing-benchmark variant: one scene, a few warps' worth of rays at
+#: the paper's 32x8 shape, baseline and predictor configurations.
+TIMING_TEST_PRESET = BenchPreset(
+    name="timingtest",
+    scenes=("SB",),
+    width=6,
+    height=6,
+    spp=2,
+    seed=1,
+    detail=0.25,
+    sim_rays=64,
+    repeats=1,
+    benchmarks=("rt_timing",),
+)
+
+
+@pytest.fixture(scope="module")
+def timing_payload():
+    return run_benchmarks(TIMING_TEST_PRESET)
+
+
+class TestTimingArtifact:
+    def test_one_record_per_configuration(self, timing_payload):
+        records = timing_payload["results"]
+        assert [(r["benchmark"], r["engine"]) for r in records] == [
+            ("rt_timing", "scalar"), ("rt_timing_predictor", "scalar"),
+        ]
+        for record in records:
+            assert record["extra"]["cycles"] > 0
+
+    def test_derived_section_shape(self, timing_payload):
+        row = timing_payload["derived"]["rt_timing"]["SB"]
+        assert row["cycles"] > 0
+        assert row["cycles_predictor"] > 0
+        assert row["cycle_speedup_predictor"] == round(
+            row["cycles"] / row["cycles_predictor"], 4
+        )
+        assert "engines_agree" not in row
+        assert not any(key.startswith("speedup_") for key in row)
+
+    def test_summarize_mentions_timing(self, timing_payload):
+        assert "rt_timing SB" in summarize(timing_payload)
+
+
+class TestTimingRegressionGate:
+    def test_identical_payloads_pass(self, timing_payload):
+        assert compare_payloads(timing_payload, timing_payload) == []
+
+    @pytest.mark.parametrize("key", ["cycles", "cycles_predictor"])
+    def test_cycles_gate_exactly(self, timing_payload, key):
+        current = copy.deepcopy(timing_payload)
+        current["derived"]["rt_timing"]["SB"][key] += 1
+        problems = compare_payloads(current, timing_payload)
+        assert any(f"{key} changed" in p for p in problems)
+
+    def test_missing_scene_fails(self, timing_payload):
+        current = copy.deepcopy(timing_payload)
+        del current["derived"]["rt_timing"]["SB"]
+        problems = compare_payloads(current, timing_payload)
+        assert any("rt_timing/SB: scene missing" in p for p in problems)
+
+    def test_hit_rate_drift_past_tolerance_fails(self, timing_payload):
+        current = copy.deepcopy(timing_payload)
+        row = current["derived"]["rt_timing"]["SB"]
+        base = timing_payload["derived"]["rt_timing"]["SB"]["l1_hit_rate"]
+        row["l1_hit_rate"] = base * 1.05
+        assert compare_payloads(current, timing_payload, tolerance=0.2) == []
+        row["l1_hit_rate"] = base * 1.5
+        problems = compare_payloads(current, timing_payload, tolerance=0.2)
+        assert any("l1_hit_rate drifted" in p for p in problems)
+
+
 BASELINE_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "benchmarks",
@@ -324,3 +396,12 @@ class TestCommittedBaselines:
             "speedup_vector_over_scalar"] >= 3.0
         for code, row in section.items():
             assert row["engines_agree"] is True, code
+
+    def test_timing_baseline_predictor_wins_every_scene(self):
+        # Fig. 12's claim at the paper's 32x8 shape: the predictor
+        # configuration takes fewer cycles than the baseline everywhere.
+        payload = load_payload(os.path.join(BASELINE_DIR, "BENCH_timing.json"))
+        section = payload["derived"]["rt_timing"]
+        assert set(section) == set(payload["preset"]["scenes"])
+        for code, row in section.items():
+            assert row["cycle_speedup_predictor"] > 1.0, code

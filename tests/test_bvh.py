@@ -152,6 +152,35 @@ class TestFlatBVH:
         # Cached: second call returns the same object.
         assert bvh.hot() is hot
 
+    def test_hot_corners_exact_and_shared(self, small_bvh):
+        hot = small_bvh.hot()
+        mesh = small_bvh.mesh
+        for corners, ref in (
+            (hot.tri_v0, mesh.v0), (hot.tri_v1, mesh.v1), (hot.tri_v2, mesh.v2)
+        ):
+            got = np.array(corners, dtype=np.float64)
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        # One tuple object per distinct position (exact bits), and the
+        # scene's triangles really do share vertices.
+        by_position = {}
+        for corner in hot.tri_v0 + hot.tri_v1 + hot.tri_v2:
+            key = np.array(corner).tobytes()
+            assert by_position.setdefault(key, corner) is corner
+        assert len(by_position) < 3 * small_bvh.num_triangles
+
+    def test_hot_corners_keep_signed_zero(self):
+        tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        flipped = tri.copy()
+        flipped[0, 2] = -0.0
+        mesh = TriangleMesh(
+            np.stack([tri[0], flipped[0]]),
+            np.stack([tri[1], flipped[1]]),
+            np.stack([tri[2], flipped[2]]),
+        )
+        hot = build_bvh(mesh).hot()
+        signs = sorted(np.signbit(corner[2]) for corner in hot.tri_v0)
+        assert signs == [False, True]
+
 
 class TestValidate:
     def test_detects_broken_parent(self, mesh):

@@ -201,6 +201,17 @@ class TestTimingGate:
         # --check fails the build on cycle/counter drift.
         assert any("--quick" in r and "--check" in r for r in gate)
 
+    def test_step_comment_matches_single_engine_gate(self, workflow_text):
+        # The timing gate has one engine: its step comment must not
+        # promise the removed vector-vs-scalar checks.
+        start = workflow_text.index("- name: Timing preset vs committed baseline")
+        end = workflow_text.index("run: python -m repro bench --preset timing", start)
+        comment = workflow_text[start:end]
+        assert "paper's 32x8 shape" in comment
+        assert "cycles" in comment
+        for stale in ("engines_agree", "vector", "speedup"):
+            assert stale not in comment
+
     def test_committed_timing_baseline_exists_for_gate(self):
         baseline = os.path.join(
             os.path.dirname(WORKFLOW), "..", "..",

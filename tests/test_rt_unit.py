@@ -108,11 +108,71 @@ class TestCounters:
 
 class TestDeterminism:
     def test_repeat_runs_identical(self, small_bvh, small_workload):
+        # Same seed + config => the full result dataclass, every counter.
         a = run_unit(small_bvh, small_workload.rays, PC)
         b = run_unit(small_bvh, small_workload.rays, PC)
-        assert a.cycles == b.cycles
-        assert a.node_fetches == b.node_fetches
-        assert a.verified == b.verified
+        assert a == b
+
+    def test_repeat_runs_identical_scalar_engine(
+        self, small_bvh, small_workload
+    ):
+        # Naming the engine explicitly selects the same deterministic unit.
+        config = GPUConfig(num_sms=1, predictor=PC)
+        a = simulate_workload(
+            small_bvh, small_workload.rays, config, engine="scalar"
+        )
+        b = simulate_workload(
+            small_bvh, small_workload.rays, config, engine="scalar"
+        )
+        assert a.per_sm == b.per_sm
+        assert a.per_sm == [run_unit(small_bvh, small_workload.rays, PC)]
+
+
+class TestConfigVariants:
+    """Stress shapes still trace every ray to the reference result."""
+
+    def assert_matches_reference(self, bvh, rays, result):
+        reference = trace_occlusion_batch(bvh, rays)
+        assert result.rays == len(rays)
+        assert result.hits == int(reference.sum())
+
+    def test_tiny_caches(self, small_bvh, small_workload):
+        # Thrashing caches exercise the DRAM/bank-timing paths hard.
+        memory = MemoryConfig(
+            l1=CacheConfig(size_bytes=512, ways=2),
+            l2=CacheConfig(size_bytes=2048, ways=2),
+        )
+        rays = small_workload.rays
+        tiny = run_unit(small_bvh, rays, PC, memory=memory)
+        default = run_unit(small_bvh, rays, PC)
+        self.assert_matches_reference(small_bvh, rays, tiny)
+        assert tiny.dram_accesses > default.dram_accesses
+
+    def test_tiny_stack_spills(self, small_bvh, small_workload):
+        rays = small_workload.rays
+        result = run_unit(
+            small_bvh, rays, rt_unit=RTUnitConfig(stack_entries=4)
+        )
+        self.assert_matches_reference(small_bvh, rays, result)
+        assert result.stack_spills > 0
+
+    def test_warp_barrier_with_predictor(self, small_bvh, small_workload):
+        rays = small_workload.rays
+        result = run_unit(
+            small_bvh, rays, PC, rt_unit=RTUnitConfig(warp_barrier=True)
+        )
+        self.assert_matches_reference(small_bvh, rays, result)
+
+    @pytest.mark.parametrize("warp_size", [8, 24, 128])
+    def test_warp_sizes(self, small_bvh, small_workload, warp_size):
+        # 24 leaves a partial last warp; 128 exceeds the collector's
+        # default capacity.
+        rays = small_workload.rays
+        result = run_unit(
+            small_bvh, rays, PC, rt_unit=RTUnitConfig(warp_size=warp_size)
+        )
+        self.assert_matches_reference(small_bvh, rays, result)
+        assert result.warp_steps > 0
 
 
 class TestConfigSensitivity:
@@ -186,3 +246,28 @@ class TestSimulator:
         config = GPUConfig(predictor=PC)
         assert config.baseline().predictor is None
         assert config.with_overrides(num_sms=4).num_sms == 4
+
+
+class TestSharding:
+    def test_sharded_matches_serial_private_l2(self, small_bvh, small_workload):
+        config = GPUConfig(num_sms=2, shared_l2=False)
+        serial = simulate_workload(small_bvh, small_workload.rays, config)
+        sharded = simulate_workload(
+            small_bvh, small_workload.rays, config, sm_jobs=2
+        )
+        assert serial.per_sm == sharded.per_sm
+
+    def test_sharding_rejects_shared_l2(self, small_bvh, small_workload):
+        with pytest.raises(ValueError):
+            simulate_workload(
+                small_bvh, small_workload.rays,
+                GPUConfig(num_sms=2, shared_l2=True), sm_jobs=2,
+            )
+
+    @pytest.mark.parametrize("engine", ["simd", "vector"])
+    def test_unknown_engine_rejected(self, small_bvh, small_workload, engine):
+        with pytest.raises(ValueError, match="unknown engine"):
+            simulate_workload(
+                small_bvh, small_workload.rays, GPUConfig(num_sms=1),
+                engine=engine,
+            )
