@@ -5,7 +5,10 @@ Three idealizations bound the headroom of ray prediction:
 * **OL - oracle lookup**: the table is trained and capacity-limited
   exactly like the real predictor, but a lookup can always find an entry
   *anywhere in the table* whose node verifies the ray, if one exists
-  ("Potential Prediction (5.5KB)").  Mispredictions disappear.
+  ("Potential Prediction (5.5KB)").  Mispredictions disappear.  The
+  table is trained only when an in-flight window drains, so its stored
+  nodes cannot change inside a window: OL snapshots them once per
+  window, which is exactly what a per-ray scan would see.
 * **OT - oracle training**: additionally the table is unbounded - a ray
   finds a node whenever *any* prior ray inserted a node that verifies it
   ("Potential Prediction (inf)").
@@ -113,6 +116,14 @@ def _run_oracle(
     for start in range(0, n, window):
         stop = min(start + window, n)
         pending: List[Tuple[int, int]] = []
+        # Training happens only in the drain below, so the stored-node
+        # set is fixed for the whole window: snapshot it once.  Keep it
+        # a set built from iter_nodes(): _deepest breaks depth ties in
+        # set-iteration order, which follows insertion order.
+        if kind is OracleKind.ORACLE_LOOKUP:
+            stored = set(predictor.table.iter_nodes())
+        else:
+            stored = unbounded
         for i in range(start, stop):
             ray = rays[i]
             ray_hash = int(hashes[i])
@@ -125,10 +136,6 @@ def _run_oracle(
             closure = ancestor_closure(bvh, hit_leaves) if hit_leaves else set()
 
             # Oracle lookup: find a verifying stored node, if any exists.
-            if kind is OracleKind.ORACLE_LOOKUP:
-                stored = set(predictor.table.iter_nodes())
-            else:
-                stored = unbounded
             matching = closure & stored if closure else set()
 
             if matching:

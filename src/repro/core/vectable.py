@@ -25,11 +25,14 @@ differential reference; this class is *order-equivalent* to it:
   traverses in order.
 
 Batched probes are order-equivalent to sequential probes: every probe
-in a batch draws a distinct, position-ordered stamp, probes to
-*different* sets commute, and probes that share a set (or entry) are
-replayed sequentially through the same single-probe kernel.  The
-differential and Hypothesis tests in ``tests/test_vectable.py`` pin
-this contract across all associativities and policies.
+in a batch draws a distinct, position-ordered stamp, and probes to
+*different* sets commute.  A batch therefore commits in rounds: round
+``r`` holds the ``r``-th probe of every set (of every entry, for
+confirms), so each round runs through one vectorized row kernel and
+each set still sees its probes in batch order.  A window takes as many
+kernel calls as its most-repeated set has probes.  The differential and
+Hypothesis tests in ``tests/test_vectable.py`` pin this contract across
+all associativities and policies.
 
 The fault-injection surface (``occupied_slots`` / ``entry_nodes`` /
 ``corrupt_node`` / ``corrupt_tag``) is preserved: logical ``(set, way)``
@@ -50,6 +53,26 @@ from repro.core.table import NODE_INDEX_BITS, VALID_BITS, PredictorTable, TableS
 
 #: Sentinel for masked argmin reductions over stamps/counts.
 _INF = np.iinfo(np.int64).max
+
+
+def _rounds(keys: np.ndarray) -> List[np.ndarray]:
+    """Split probe positions into conflict-free rounds.
+
+    Round ``r`` holds the ``r``-th probe of every distinct key, in batch
+    order, so no key repeats within a round and each key's probes land
+    in successive rounds in their original order.  The number of rounds
+    is the maximum key multiplicity.
+    """
+    n = keys.size
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    pos = np.arange(n)
+    first = np.ones(n, dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = pos - np.maximum.accumulate(np.where(first, pos, 0))
+    by_round = np.argsort(rank, kind="stable")
+    return np.split(by_round, np.cumsum(np.bincount(rank))[:-1])
 
 
 class VectorizedPredictorTable:
@@ -252,10 +275,10 @@ class VectorizedPredictorTable:
         """Train a whole probe vector (delayed window commit).
 
         Equivalent to ``n`` sequential :meth:`update` calls in batch
-        order.  Probes to distinct sets commute and run through one
-        vectorized pass; probes sharing a set are replayed sequentially
-        (same kernel, singleton rows) with their original stamps, so
-        allocation and eviction order is preserved.
+        order.  Probes to distinct sets commute, so the batch commits in
+        per-set rounds (see :func:`_rounds`), one vectorized pass each;
+        every probe keeps its pre-drawn stamp, so allocation and
+        eviction order is preserved.
         """
         hashes = np.asarray(hashes, dtype=np.uint64)
         nodes = np.asarray(nodes, dtype=np.int64)
@@ -265,20 +288,15 @@ class VectorizedPredictorTable:
             return
         idx, tag = self._index_and_tag_batch(hashes)
         stamps = self._ticks(n)
-        uniq, counts = np.unique(idx, return_counts=True)
-        conflicted = np.isin(idx, uniq[counts > 1])
-        rows = np.nonzero(~conflicted)[0]
-        if rows.size:
+        for rows in _rounds(idx):
             self._update_rows(idx[rows], tag[rows], nodes[rows], stamps[rows])
-        for i in np.nonzero(conflicted)[0]:
-            self._update_rows(idx[i:i + 1], tag[i:i + 1],
-                              nodes[i:i + 1], stamps[i:i + 1])
 
     def confirm_batch(self, hashes: np.ndarray, nodes: np.ndarray) -> None:
         """Policy feedback for a whole vector of verified predictions.
 
         Equivalent to ``n`` sequential :meth:`confirm` calls in batch
-        order; probes sharing an entry are replayed sequentially.
+        order; the hit probes commit in per-entry rounds (see
+        :func:`_rounds`).
         """
         hashes = np.asarray(hashes, dtype=np.uint64)
         nodes = np.asarray(nodes, dtype=np.int64)
@@ -295,15 +313,10 @@ class VectorizedPredictorTable:
         if not hit.any():
             return
         way = np.where(match, self._estamp[idx], _INF).argmin(axis=1)
-        key = np.where(hit, idx * self.ways + way, -1)
-        uniq, counts = np.unique(key[hit], return_counts=True)
-        conflicted = np.isin(key, uniq[counts > 1]) & hit
-        rows = np.nonzero(hit & ~conflicted)[0]
-        if rows.size:
+        hit_rows = np.nonzero(hit)[0]
+        for r in _rounds(idx[hit_rows] * self.ways + way[hit_rows]):
+            rows = hit_rows[r]
             self._confirm_rows(idx[rows], way[rows], nodes[rows], stamps[rows])
-        for i in np.nonzero(conflicted)[0]:
-            self._confirm_rows(idx[i:i + 1], way[i:i + 1],
-                               nodes[i:i + 1], stamps[i:i + 1])
 
     # ------------------------------------------------------------------
     # Row kernels (vectorized over probes with unique sets/entries).

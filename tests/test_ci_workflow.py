@@ -133,6 +133,18 @@ class TestBenchmarkGate:
         assert gate, "benchmark-smoke must gate the predictor pipeline"
         assert any("--check" in r for r in gate)
 
+    def test_smoke_job_runs_figbench_self_tests(self, workflow):
+        # figbench/test_figbench.py is outside tier-1's testpaths; the
+        # smoke job is what checks the functional/limit-study units
+        # against figbench/reference.json.
+        steps = workflow["jobs"]["benchmark-smoke"]["steps"]
+        runs = [step.get("run", "") for step in steps]
+        assert "python -m pytest -q figbench/test_figbench.py" in runs
+        # The job installs the package without dev extras, so it must
+        # bring pytest itself.
+        installs = [r for r in runs if "pip install" in r]
+        assert any("pytest" in r for r in installs)
+
     def test_committed_predictor_baseline_exists_for_gate(self):
         baseline = os.path.join(
             os.path.dirname(WORKFLOW), "..", "..",

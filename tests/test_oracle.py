@@ -1,9 +1,13 @@
 """Unit tests for the limit-study oracles (Section 6.3)."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.core import OracleKind, PredictorConfig, run_limit_study
 from repro.core.oracle import ancestor_closure
+from repro.core.vectable import VectorizedPredictorTable
 
 
 CFG = PredictorConfig(origin_bits=3, direction_bits=2, go_up_level=2)
@@ -87,3 +91,64 @@ class TestLimitStudy:
             kinds=[OracleKind.PROPOSED, OracleKind.ORACLE_LOOKUP],
         )
         assert set(partial) == {OracleKind.PROPOSED, OracleKind.ORACLE_LOOKUP}
+
+
+#: Exact Figure 2 counts for the ``study`` fixture (512 rays,
+#: ``in_flight=64``): ``(predicted, verified, hits, predictor node
+#: fetches, predictor tri fetches, baseline node fetches, baseline tri
+#: fetches, table updates)``.  Any change is a change to the limit study.
+PINNED_COUNTS = {
+    OracleKind.ORACLE_LOOKUP: (239, 239, 295, 3470, 2412, 4979, 2665, 295),
+    OracleKind.ORACLE_TRAINING: (239, 239, 295, 3467, 2415, 4979, 2665, 295),
+    OracleKind.ORACLE_UPDATES: (280, 280, 295, 3254, 2375, 4979, 2665, 295),
+}
+
+
+class TestLimitStudyPins:
+    @pytest.mark.parametrize("kind", list(PINNED_COUNTS))
+    def test_exact_counts(self, study, kind):
+        r = study[kind]
+        assert (r.num_rays, r.table_lookups) == (512, 512)
+        assert (
+            r.predicted,
+            r.verified,
+            r.hits,
+            r.predictor_node_fetches,
+            r.predictor_tri_fetches,
+            r.baseline_node_fetches,
+            r.baseline_tri_fetches,
+            r.table_updates,
+        ) == PINNED_COUNTS[kind]
+
+    def test_oracle_lookup_scalar_vs_vector_table(self, small_bvh, small_workload):
+        kinds = [OracleKind.ORACLE_LOOKUP]
+        results = [
+            run_limit_study(
+                small_bvh,
+                small_workload.rays,
+                dataclasses.replace(CFG, table_impl=impl),
+                kinds=kinds,
+                in_flight=64,
+            )[OracleKind.ORACLE_LOOKUP]
+            for impl in ("scalar", "vector")
+        ]
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("in_flight", [1, 64, 100])
+    def test_oracle_lookup_snapshots_once_per_window(
+        self, monkeypatch, small_bvh, small_workload, in_flight
+    ):
+        calls = []
+        original = VectorizedPredictorTable.iter_nodes
+
+        def counting(table):
+            calls.append(1)
+            return original(table)
+
+        monkeypatch.setattr(VectorizedPredictorTable, "iter_nodes", counting)
+        rays = small_workload.rays
+        run_limit_study(
+            small_bvh, rays, CFG, kinds=[OracleKind.ORACLE_LOOKUP],
+            in_flight=in_flight,
+        )
+        assert len(calls) == math.ceil(len(rays) / in_flight)

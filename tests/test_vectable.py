@@ -210,3 +210,74 @@ class TestBatchedOrderEquivalence:
         assert bat.stats == seq.stats == ref.stats
         _assert_equivalent(ref, bat)
         _assert_equivalent(ref, seq)
+
+
+def _hashes_by_set(table):
+    """Every hash of ``table``'s tag space, grouped by the set it folds to."""
+    groups = {}
+    for h in range(1 << table.hash_bits):
+        groups.setdefault(table._index_and_tag(h)[0], []).append(h)
+    return groups
+
+
+def _one_set_window(table):
+    """Every probe in one set: five tags over two ways, repeated nodes."""
+    tags = _hashes_by_set(table)[0][:5]
+    picks = [(0, 1), (1, 2), (0, 3), (0, 1), (2, 4), (0, 5),
+             (3, 1), (1, 2), (4, 6), (0, 3), (4, 7), (4, 6)]
+    return [tags[t] for t, _ in picks], [n for _, n in picks]
+
+
+def _recurring_set_window(table):
+    """One set probed ten times (three tags) among ten once-probed sets."""
+    groups = _hashes_by_set(table)
+    hot = groups[3][:3]
+    cold = [groups[s][0] for s in range(table.num_sets) if s != 3][:10]
+    hashes, nodes = [], []
+    for i, t in enumerate((0, 1, 0, 2, 0, 1, 0, 2, 0, 1)):
+        hashes += [hot[t], cold[i]]
+        nodes += [i % 3, 10 + i]
+    return hashes, nodes
+
+
+class TestRoundCommit:
+    """``update_batch``/``confirm_batch`` commit in per-set rounds."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize(
+        "make_window, rounds",
+        [(_one_set_window, 12), (_recurring_set_window, 10)],
+    )
+    def test_rounds_match_sequential_scalar(self, policy, make_window, rounds):
+        kwargs = dict(num_entries=32, ways=2, nodes_per_entry=2, hash_bits=8,
+                      node_policy=policy)
+        ref = PredictorTable(**kwargs)
+        bat = VectorizedPredictorTable(**kwargs)
+        hashes, nodes = make_window(bat)
+        harr = np.asarray(hashes, dtype=np.uint64)
+        narr = np.asarray(nodes, dtype=np.int64)
+
+        calls = []
+        update_rows = bat._update_rows
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            update_rows(*args)
+
+        bat._update_rows = counted
+        # Train, confirm the trained window, then train it again so the
+        # second pass mixes hits, duplicate-node touches and evictions.
+        for _ in range(2):
+            for h, n_ in zip(hashes, nodes):
+                ref.update(h, n_)
+            bat.update_batch(harr, narr)
+            _assert_equivalent(ref, bat)
+            for h, n_ in zip(hashes, nodes):
+                ref.confirm(h, n_)
+            bat.confirm_batch(harr, narr)
+            _assert_equivalent(ref, bat)
+        # One kernel call per round: the window's max set multiplicity.
+        assert len(calls) == 2 * rounds
+        assert sum(calls) == 2 * len(hashes)
+        assert ref.stats.entry_evictions > 0
+        assert ref.stats.node_evictions > 0
