@@ -33,44 +33,38 @@ checkpoint hits, and the partial-results manifest).  See
 ``docs/ROBUSTNESS.md``.
 
 Parallel sweeps: ``jobs > 1`` (CLI ``--jobs N``) shards the scene units
-across worker processes.  Every unit is a pure function of the pinned
-preset, so the payload is byte-identical to a serial run modulo the
-timing fields (``wall_time_s`` / ``rays_per_sec``); checkpoints are
-written by the parent as workers complete, so ``--jobs`` composes with
-``--resume`` after a mid-sweep kill.  With telemetry enabled, each
-worker ships its metrics/span snapshot back on the result path and the
-parent merges them in scene order (:mod:`repro.telemetry.distributed`),
-so the artifact's ``telemetry`` section matches a serial run's.  The opt-in BVH artifact cache
-(``--artifact-cache DIR``, :mod:`repro.bvh.cache`) lets those workers -
-and repeated sweeps - skip redundant SAH builds; when enabled, its
-identity joins the checkpoint fingerprint so cached and uncached runs
-can never be mixed by ``--resume``.
+across worker processes.  Checkpointing, sharding, supervision and the
+telemetry merge live in the shared sweep driver
+(:func:`repro.resilience.sweep.run_units`); this module supplies the
+unit function (:func:`_bench_unit`) and the payload.  Every unit is a
+pure function of the pinned preset, so the payload matches a serial
+run modulo the timing fields (``wall_time_s`` / ``rays_per_sec``).
+The opt-in BVH artifact cache (``--artifact-cache DIR``,
+:mod:`repro.bvh.cache`) lets workers - and repeated sweeps - skip
+redundant SAH builds; when enabled, its identity joins the checkpoint
+fingerprint so cached and uncached runs can never be mixed by
+``--resume``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import telemetry
-from repro.bvh.cache import cached_build_bvh, configure_artifact_cache, get_artifact_cache
-from repro.errors import TelemetryAggregationError
+from repro.bvh.cache import cached_build_bvh
 from repro.core.simulate import simulate_baseline, simulate_predictor
+from repro.errors import TelemetryAggregationError
 from repro.faults.injector import UnitFaultPlan
 from repro.rays import generate_ao_workload
-from repro.resilience import (
-    PartialResultsManifest,
-    ResilienceOptions,
-    RunSupervisor,
-    SweepCheckpoint,
-    UnitEntry,
-)
+from repro.resilience import ResilienceOptions
+from repro.resilience.sweep import pin_cache_identity, run_units
 from repro.scenes import get_scene
 from repro.telemetry import distributed
 from repro.trace import TraversalStats, trace_closest_batch, trace_occlusion_batch
@@ -380,7 +374,7 @@ def _timing_record(
 
 
 def _build_records(
-    preset: BenchPreset, code: str, engines: Sequence[str], say, scene
+    preset: BenchPreset, code: str, build_engines: Sequence[str], say, scene
 ) -> List[BenchRecord]:
     """Timed BVH construction + refit for one scene (``bvh_build``).
 
@@ -397,12 +391,6 @@ def _build_records(
     from repro.bvh.stats import compute_stats
     from repro.bvh.vector import trees_identical
 
-    # Engine pair follows the degradation rung: the full rung times
-    # vector against the scalar oracle; degraded rungs keep scalar
-    # only, dropping the speedup but keeping the tree stats.
-    build_engines = (
-        ("vector", "scalar") if "wavefront" in engines else ("scalar",)
-    )
     n = len(scene.mesh)
     records: List[BenchRecord] = []
     refit_base = None
@@ -486,8 +474,15 @@ def _scene_records(
     engines: Sequence[str],
     say,
     predictor_enabled: bool = True,
+    *,
+    build_engines: Sequence[str],
 ) -> List[BenchRecord]:
-    """Run the full benchmark matrix for one scene (one sweep *unit*)."""
+    """Run the full benchmark matrix for one scene (one sweep *unit*).
+
+    ``engines`` are the traversal engines timed; ``build_engines`` the
+    BVH builders the ``bvh_build`` benchmark times (the vector builder
+    against its scalar oracle on the full rung).
+    """
     records: List[BenchRecord] = []
     selected = tuple(getattr(preset, "benchmarks", BENCHMARKS))
     # The build benchmark times its own construction, so a unit that
@@ -497,7 +492,9 @@ def _scene_records(
     with telemetry.label_context(scene=code):
         scene = get_scene(code, detail=preset.detail)
         if "bvh_build" in selected:
-            records.extend(_build_records(preset, code, engines, say, scene))
+            records.extend(
+                _build_records(preset, code, build_engines, say, scene)
+            )
         if not needs_workload:
             return records
         bvh = cached_build_bvh(scene.mesh)
@@ -549,92 +546,37 @@ def _scene_records(
     return records
 
 
-def _plain_unit_worker(
-    preset: BenchPreset,
-    code: str,
-    engines: Tuple[str, ...],
-    cache_root: Optional[str],
-    telemetry_on: bool = False,
-    ambient_labels: Optional[Dict[str, str]] = None,
-) -> dict:
-    """One fail-fast scene unit in a ``--jobs`` worker process.
-
-    Returns the unit's records plus the worker's telemetry snapshot
-    (``None`` with telemetry off), which rides the normal result path
-    back to the parent for :func:`distributed.absorb_snapshot`.
-    """
-    if cache_root:
-        configure_artifact_cache(cache_root)
-    distributed.init_worker(telemetry_on, ambient_labels)
-    quiet = lambda msg: None  # noqa: E731 - workers report via the parent
-    records = [asdict(rec) for rec in _scene_records(preset, code, engines, quiet)]
-    return {
-        "records": records,
-        "telemetry": distributed.capture_snapshot(unit=code),
-    }
-
-
-def _supervised_unit_worker(
-    preset: BenchPreset,
-    code: str,
-    engines: Tuple[str, ...],
-    options: ResilienceOptions,
-    fault_plan: Optional[UnitFaultPlan],
-    cache_root: Optional[str],
-    telemetry_on: bool = False,
-    ambient_labels: Optional[Dict[str, str]] = None,
-) -> dict:
-    """One supervised scene unit in a ``--jobs`` worker process.
-
-    The worker owns the retry/degradation decisions for its unit (a
-    fresh single-unit :class:`RunSupervisor` built from the same
-    options, so backoff schedules stay seeded per unit and independent
-    of sharding); the parent owns the checkpoint and the manifest.
-    The telemetry snapshot is captured *after* the supervisor settles,
-    so a unit that degraded or was skipped still ships whatever partial
-    metrics and spans its attempts recorded.
-    """
-    if cache_root:
-        configure_artifact_cache(cache_root)
-    distributed.init_worker(telemetry_on, ambient_labels)
-    supervisor = RunSupervisor.from_options(options)
-
-    def make_fn(rung: str):
-        plan = _rung_plan(engines, rung)
-        if plan is None:
-            return None
-        use_engines, predictor_enabled = plan
-
-        def run() -> List[BenchRecord]:
-            if fault_plan is not None:
-                fault_plan.check(code)
-            return _scene_records(
-                preset, code, use_engines, lambda msg: None,
-                predictor_enabled=predictor_enabled,
-            )
-
-        return run
-
-    outcome = supervisor.run_unit(code, make_fn)
-    return {
-        "records": [asdict(rec) for rec in (outcome.value or [])],
-        "entry": outcome.entry.to_dict(),
-        "supervisor": supervisor.describe(),
-        "telemetry": distributed.capture_snapshot(unit=code),
-    }
-
-
 def _rung_plan(
     engines: Sequence[str], rung: str
-) -> Optional[Tuple[Tuple[str, ...], bool]]:
-    """(engines, predictor_enabled) for a bench unit at ``rung``."""
+) -> Tuple[Tuple[str, ...], Tuple[str, ...], bool]:
+    """(traversal engines, build engines, predictor_enabled) at ``rung``.
+
+    Rung semantics for a bench unit:
+
+    * ``wavefront``     - the requested traversal engines with the
+      predictor sim on, and the vector builders timed against the
+      scalar oracle (scalar builders only when the caller asked for
+      scalar traversal alone);
+    * ``scalar``        - scalar engines only (lower peak memory);
+    * ``predictor_off`` - scalar engines, predictor-disabled baseline
+      simulation (:func:`repro.core.simulate.simulate_baseline`).
+    """
     if rung == "wavefront":
-        return tuple(engines), True
-    if rung == "scalar":
-        return ("scalar",), True
-    if rung == "predictor_off":
-        return ("scalar",), False
-    return None  # pragma: no cover - supervisor never asks for "skip"
+        build = ("vector", "scalar") if "wavefront" in engines else ("scalar",)
+        return tuple(engines), build, True
+    return ("scalar",), ("scalar",), rung != "predictor_off"
+
+
+def _bench_unit(
+    preset: BenchPreset, engines: Tuple[str, ...], code: str, rung: str, say
+) -> dict:
+    """One bench sweep unit: the scene's records at ``rung``."""
+    use_engines, build_engines, predictor_enabled = _rung_plan(engines, rung)
+    records = _scene_records(
+        preset, code, use_engines, say,
+        predictor_enabled=predictor_enabled, build_engines=build_engines,
+    )
+    return {"records": [asdict(rec) for rec in records]}
 
 
 def run_benchmarks(
@@ -678,7 +620,6 @@ def run_benchmarks(
     Returns:
         The artifact payload (JSON-serializable dict).
     """
-    say = progress or (lambda msg: None)
     scene_codes = tuple(scenes) if scenes else preset.scenes
     if not aggregate_telemetry and telemetry.enabled() and jobs > 1:
         raise TelemetryAggregationError(
@@ -687,55 +628,24 @@ def run_benchmarks(
             "worker-side metrics would be dropped silently - re-enable "
             "aggregation, run serially, or disable telemetry"
         )
-    if resilience is None and fault_plan is None:
-        if jobs > 1 and len(scene_codes) > 1:
-            records = _run_plain_parallel(
-                preset, engines, scene_codes, say, jobs
-            )
-        else:
-            records = []
-            for code in scene_codes:
-                records.extend(_scene_records(preset, code, engines, say))
-        return _build_payload(preset, scene_codes, records)
-    return _run_resilient(
-        preset, engines, scene_codes, say,
-        resilience or ResilienceOptions(), fault_plan, jobs,
+    if resilience is None and fault_plan is not None:
+        resilience = ResilienceOptions()
+    bodies, section = run_units(
+        scene_codes,
+        functools.partial(_bench_unit, preset, tuple(engines)),
+        options=resilience,
+        fault_plan=fault_plan,
+        empty_body={"records": []},
+        fingerprint=sweep_fingerprint(preset, scene_codes, engines),
+        schema=BENCH_SCHEMA,
+        jobs=jobs,
+        say=progress,
     )
-
-
-def _run_plain_parallel(
-    preset: BenchPreset,
-    engines: Sequence[str],
-    scene_codes: Sequence[str],
-    say,
-    jobs: int,
-) -> List[BenchRecord]:
-    """Fail-fast sweep sharded across processes, aggregated in order."""
-    cache = get_artifact_cache()
-    cache_root = cache.root if cache else None
-    telemetry_on = telemetry.enabled()
-    ambient = telemetry.current_labels() if telemetry_on else None
-    workers = min(jobs, len(scene_codes))
-    say(f"sharding {len(scene_codes)} scene unit(s) across {workers} workers")
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            code: pool.submit(
-                _plain_unit_worker, preset, code, tuple(engines), cache_root,
-                telemetry_on, ambient,
-            )
-            for code in scene_codes
-        }
-        records: List[BenchRecord] = []
-        # Aggregate in scene order regardless of completion order, so
-        # the artifact - including the merged telemetry registry, whose
-        # gauges are last-write-wins - is identical to a serial run's.
-        for code in scene_codes:
-            outcome = futures[code].result()
-            unit = [BenchRecord(**rec) for rec in outcome["records"]]
-            records.extend(unit)
-            distributed.absorb_snapshot(outcome["telemetry"])
-            say(f"[{code}] {len(unit)} record(s) from worker")
-    return records
+    records = [BenchRecord(**rec) for body in bodies for rec in body["records"]]
+    payload = _build_payload(preset, scene_codes, records)
+    if section is not None:
+        payload["resilience"] = section
+    return payload
 
 
 def sweep_fingerprint(
@@ -743,172 +653,15 @@ def sweep_fingerprint(
     scene_codes: Sequence[str],
     engines: Sequence[str],
 ) -> dict:
-    """The configuration identity a checkpoint pins a sweep to.
-
-    When the BVH artifact cache is active its identity (enablement +
-    on-disk format version, the key space every content address lives
-    in) is part of the fingerprint: a checkpoint written with the cache
-    on refuses to resume with it off, and vice versa.
-    """
-    fingerprint = {
+    """The configuration identity a checkpoint pins a sweep to, plus
+    the artifact cache's identity while the cache is on
+    (:func:`~repro.resilience.sweep.pin_cache_identity`)."""
+    return pin_cache_identity({
         "kind": "bench",
         "preset": asdict(preset),
         "scenes": list(scene_codes),
         "engines": list(engines),
-    }
-    cache = get_artifact_cache()
-    if cache is not None:
-        fingerprint["artifact_cache"] = cache.fingerprint()
-    return fingerprint
-
-
-def _run_resilient(
-    preset: BenchPreset,
-    engines: Sequence[str],
-    scene_codes: Sequence[str],
-    say,
-    options: ResilienceOptions,
-    fault_plan: Optional[UnitFaultPlan],
-    jobs: int = 1,
-) -> dict:
-    """Supervised sweep: each scene is a unit on the degradation ladder.
-
-    Rung semantics for a bench unit:
-
-    * ``wavefront``     - the requested engine set, predictor sim on;
-    * ``scalar``        - scalar engine only (lower peak memory);
-    * ``predictor_off`` - scalar engine, predictor-disabled baseline
-      simulation (:func:`repro.core.simulate.simulate_baseline`);
-    * ``skip``          - no records; the manifest carries the
-      diagnostic.
-
-    With ``jobs > 1``, units that survive the resume check are sharded
-    across worker processes; each worker supervises its own unit (same
-    ladder, same per-unit seeded backoff), while the parent records
-    checkpoints as workers complete - so a mid-sweep kill still resumes
-    with only the unfinished units.
-    """
-    supervisor = RunSupervisor.from_options(options)
-    manifest = PartialResultsManifest()
-    checkpoint: Optional[SweepCheckpoint] = None
-    if options.checkpoint_path:
-        checkpoint = SweepCheckpoint(
-            options.checkpoint_path,
-            sweep_fingerprint(preset, scene_codes, engines),
-            bench_schema=BENCH_SCHEMA,
-        )
-        if checkpoint.load(resume=options.resume):
-            say(
-                f"resuming from {checkpoint.path} "
-                f"({len(checkpoint.completed)} unit(s) already complete)"
-            )
-
-    unit_records: Dict[str, List[BenchRecord]] = {}
-    unit_entries: Dict[str, UnitEntry] = {}
-    pending: List[str] = []
-    for code in scene_codes:
-        if checkpoint is not None and checkpoint.has(code):
-            stored = checkpoint.get(code)
-            unit_records[code] = [
-                BenchRecord(**rec) for rec in stored.get("records", [])
-            ]
-            prior = stored.get("entry", {})
-            unit_entries[code] = UnitEntry(
-                unit=code, status="resumed",
-                rung=prior.get("rung", "wavefront"), attempts=0,
-            )
-            telemetry.inc_counter("supervisor.checkpoint_hits", unit=code)
-            say(f"[{code}] resumed from checkpoint (not re-run)")
-            continue
-        pending.append(code)
-
-    if jobs > 1 and len(pending) > 1:
-        cache = get_artifact_cache()
-        cache_root = cache.root if cache else None
-        telemetry_on = telemetry.enabled()
-        ambient = telemetry.current_labels() if telemetry_on else None
-        workers = min(jobs, len(pending))
-        say(f"sharding {len(pending)} scene unit(s) across {workers} workers")
-        unit_snapshots: Dict[str, Optional[dict]] = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(
-                    _supervised_unit_worker, preset, code, tuple(engines),
-                    options, fault_plan, cache_root, telemetry_on, ambient,
-                ): code
-                for code in pending
-            }
-            for future in as_completed(futures):
-                code = futures[future]
-                outcome = future.result()
-                unit_records[code] = [
-                    BenchRecord(**rec) for rec in outcome["records"]
-                ]
-                unit_entries[code] = UnitEntry(**outcome["entry"])
-                unit_snapshots[code] = outcome.get("telemetry")
-                for counter, value in outcome["supervisor"].items():
-                    if counter in supervisor.counters:
-                        supervisor.counters[counter] += value
-                supervisor.total_backoff_s += (
-                    outcome["supervisor"]["total_backoff_s"]
-                )
-                # Persist as each worker finishes, not in scene order:
-                # a kill between completions loses only unfinished units.
-                if checkpoint is not None:
-                    checkpoint.record(code, {
-                        "records": outcome["records"],
-                        "entry": outcome["entry"],
-                    })
-                say(f"[{code}] unit complete ({unit_entries[code].status})")
-        # Merge worker telemetry in scene order (not completion order):
-        # counter addition commutes but gauge last-write-wins does not,
-        # and scene order is what a serial run would have produced.
-        for code in scene_codes:
-            distributed.absorb_snapshot(unit_snapshots.get(code))
-    else:
-        for code in pending:
-            def make_fn(rung: str, code: str = code):
-                plan = _rung_plan(engines, rung)
-                if plan is None:
-                    return None
-                use_engines, predictor_enabled = plan
-
-                def run() -> List[BenchRecord]:
-                    if fault_plan is not None:
-                        fault_plan.check(code)
-                    return _scene_records(
-                        preset, code, use_engines, say,
-                        predictor_enabled=predictor_enabled,
-                    )
-
-                return run
-
-            outcome = supervisor.run_unit(code, make_fn, progress=say)
-            unit_entries[code] = outcome.entry
-            unit_records[code] = list(outcome.value or [])
-            if checkpoint is not None:
-                checkpoint.record(code, {
-                    "records": [asdict(rec) for rec in unit_records[code]],
-                    "entry": outcome.entry.to_dict(),
-                })
-
-    records: List[BenchRecord] = []
-    for code in scene_codes:
-        records.extend(unit_records.get(code, []))
-        if code in unit_entries:
-            manifest.add(unit_entries[code])
-
-    payload = _build_payload(preset, scene_codes, records)
-    payload["resilience"] = {
-        "enabled": True,
-        "options": options.describe(),
-        "supervisor": supervisor.describe(),
-        "manifest": manifest.to_dict(),
-        "checkpoint": checkpoint.describe() if checkpoint else None,
-        "chaos": fault_plan.describe() if fault_plan else None,
-    }
-    say(manifest.summary())
-    return payload
+    })
 
 
 def _build_payload(
@@ -940,15 +693,8 @@ def _build_payload(
             "bvh_build": _bvh_build_section(by_key, scene_codes),
         },
     }
-    if telemetry.enabled():
-        section = {
-            "metrics": telemetry.get_registry().snapshot(),
-            "spans": distributed.merged_span_summary(),
-            "dropped_events": distributed.total_dropped_events(),
-        }
-        workers = distributed.worker_summary()
-        if workers:
-            section["workers"] = workers
+    section = distributed.payload_section()
+    if section is not None:
         payload["telemetry"] = section
     return payload
 

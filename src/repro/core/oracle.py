@@ -37,7 +37,7 @@ from repro.core.simulate import (
     simulate_predictor,
 )
 from repro.geometry.ray import RayBatch
-from repro.trace.counters import TraversalStats
+from repro.telemetry.stats import TraversalStats
 from repro.trace.traversal import occlusion_all_hit_leaves, occlusion_any_hit_tri
 
 

@@ -36,7 +36,7 @@ from repro.telemetry.publish import (
     publish_table_stats,
     table_stats_state,
 )
-from repro.trace.counters import TraversalStats
+from repro.telemetry.stats import TraversalStats
 from repro.trace.traversal import occlusion_any_hit_tri
 from repro.trace.wavefront import resolve_engine, wavefront_verify_batch
 

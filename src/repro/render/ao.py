@@ -15,7 +15,7 @@ import numpy as np
 from repro.bvh.nodes import FlatBVH
 from repro.rays.aogen import AOWorkload, generate_ao_workload
 from repro.scenes.scene import Scene
-from repro.trace.counters import TraversalStats
+from repro.telemetry.stats import TraversalStats
 from repro.trace.traversal import DEFAULT_ENGINE, trace_occlusion_batch
 
 

@@ -16,6 +16,10 @@ is never all-or-nothing:
   (wavefront -> scalar -> predictor-disabled -> skip-with-diagnostic)
   and the partial-results manifest every resilient sweep terminates
   with.
+* :mod:`repro.resilience.sweep` - the sweep driver
+  (:func:`~repro.resilience.sweep.run_units`) both ``repro bench`` and
+  ``repro simulate`` run their scene units through, plus the
+  ``repro simulate`` sweep itself.
 
 See ``docs/ROBUSTNESS.md`` (ladder, retry semantics, checkpoint format)
 and ``docs/BENCHMARKING.md`` (the ``--resume`` workflow).

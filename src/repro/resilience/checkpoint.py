@@ -60,7 +60,7 @@ class SweepCheckpoint:
 
     Usage::
 
-        ckpt = SweepCheckpoint(path, fingerprint, bench_schema="repro-bench/3")
+        ckpt = SweepCheckpoint(path, fingerprint, bench_schema="repro-bench/6")
         ckpt.load(resume=args.resume)
         for unit in units:
             if ckpt.has(unit):

@@ -4,8 +4,8 @@ One subsystem, three pillars (see ``docs/OBSERVABILITY.md``):
 
 * **metrics** - a process-global :class:`~repro.telemetry.metrics.Registry`
   of labeled counters/gauges/histograms replacing the ad-hoc counter
-  dicts that used to live in ``trace/counters.py``, ``core/simulate.py``
-  and the GPU models; read it with ``get_registry().snapshot()``;
+  dicts that used to live in the traversal, simulation and GPU layers;
+  read it with ``get_registry().snapshot()``;
 * **tracing** - :func:`span` brackets pipeline stages (predictor
   lookup/verify/fallback, wavefront kernels, RT-unit runs, BVH builds)
   into a ring-buffered event log exportable as Chrome ``trace_event``

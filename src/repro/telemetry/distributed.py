@@ -14,8 +14,7 @@ The fix is a snapshot/absorb pair riding the existing result path:
   runs its unit, then returns :func:`capture_snapshot` alongside its
   normal result payload;
 * the parent calls :func:`absorb_snapshot` on each returned snapshot,
-  in a deterministic order (scene order on the plain path, completion
-  order with per-unit labels on the resilient path), merging counters
+  in scene order whatever order the workers finished in, merging counters
   by label-preserving addition, histograms by raw-bucket union
   (:meth:`~repro.telemetry.metrics.Histogram.add_raw`), and gauges by
   last-write-wins - the same semantics a serial run would produce;
@@ -239,6 +238,26 @@ def worker_summary() -> List[dict]:
     return summary
 
 
+def payload_section() -> Optional[dict]:
+    """The artifact's ``telemetry`` section, or None with telemetry off.
+
+    Metrics come from the merged registry, spans and ring-buffer drops
+    from the parent plus every absorbed worker; ``workers`` appears only
+    when worker snapshots were absorbed (a sharded run).
+    """
+    if not telemetry.enabled():
+        return None
+    section = {
+        "metrics": telemetry.get_registry().snapshot(),
+        "spans": merged_span_summary(),
+        "dropped_events": total_dropped_events(),
+    }
+    workers = worker_summary()
+    if workers:
+        section["workers"] = workers
+    return section
+
+
 __all__ = [
     "SNAPSHOT_SCHEMA",
     "absorb_snapshot",
@@ -246,6 +265,7 @@ __all__ = [
     "init_worker",
     "merge_metrics",
     "merged_span_summary",
+    "payload_section",
     "stitched_chrome_trace",
     "total_dropped_events",
     "worker_summary",

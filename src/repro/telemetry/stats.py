@@ -7,9 +7,6 @@ and nodes traversed per ray (Equation 1, Table 5).
 local struct - per-ray hot loops mutate plain integers - and
 :meth:`TraversalStats.publish` folds a finished accumulation into the
 global telemetry registry as labeled ``trace.*`` counters.
-
-Historically this class lived in :mod:`repro.trace.counters`; that
-module remains as a re-exporting shim so existing imports keep working.
 """
 
 from __future__ import annotations

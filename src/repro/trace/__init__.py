@@ -5,7 +5,7 @@ RT-unit timing model are validated against them, and the limit study
 (Figure 2) uses their all-hits variant to compute oracle predictions.
 """
 
-from repro.trace.counters import TraversalStats
+from repro.telemetry.stats import TraversalStats
 from repro.trace.packets import occlusion_packet, trace_occlusion_packets
 from repro.trace.stackless import occlusion_any_hit_stackless
 from repro.trace.traversal import (

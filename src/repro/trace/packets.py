@@ -24,7 +24,7 @@ import numpy as np
 from repro.bvh.nodes import FlatBVH
 from repro.geometry.intersect import ray_aabb_intersect, ray_triangle_intersect
 from repro.geometry.ray import RayBatch
-from repro.trace.counters import TraversalStats
+from repro.telemetry.stats import TraversalStats
 
 
 def occlusion_packet(

@@ -26,7 +26,7 @@ from repro.errors import TraversalError
 from repro.geometry.intersect import ray_aabb_intersect, ray_triangle_intersect
 from repro.geometry.ray import Ray
 from repro.geometry.ray import RayBatch
-from repro.trace.counters import TraversalStats
+from repro.telemetry.stats import TraversalStats
 
 
 def _checked_start_nodes(start_nodes: Sequence[int], num_nodes: int) -> List[int]:

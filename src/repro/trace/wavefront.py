@@ -27,7 +27,7 @@ ray intersects any in-range triangle (occlusion) or what its minimum hit
 parameter is (closest hit) does not depend on traversal order.
 Order-*dependent* quantities - which triangle satisfied an any-hit query
 first, or how many nodes were fetched before early termination - may
-legitimately differ; :class:`~repro.trace.counters.TraversalStats`
+legitimately differ; :class:`~repro.telemetry.stats.TraversalStats`
 counters keep their exact scalar semantics (one node fetch per ray per
 interior-node visit, one triangle fetch per ray-triangle test) but count
 the wavefront's visit order.
@@ -57,7 +57,7 @@ from repro.geometry.intersect import (
     ray_triangle_intersect_batch,
 )
 from repro.geometry.ray import Ray, RayBatch
-from repro.trace.counters import TraversalStats
+from repro.telemetry.stats import TraversalStats
 
 #: Engine identifiers accepted by the batch entry points.
 ENGINES: Tuple[str, ...] = ("wavefront", "scalar")

@@ -184,6 +184,26 @@ class TestChaosGate:
         assert any("--force-fail" in r for r in sweep)
         assert any("--chaos-rate" in r for r in sweep)
 
+    def test_smoke_job_runs_sharded_sweep_with_faults(self, workflow):
+        steps = workflow["jobs"]["chaos-smoke"]["steps"]
+        runs = [step.get("run", "") for step in steps]
+        sweeps = [r for r in runs if "repro simulate" in r]
+        # The serial sweep stays; a second, sharded run of the same
+        # forced-failure sweep writes its own artifact.
+        serial = [r for r in sweeps if "--jobs" not in r]
+        sharded = [r for r in sweeps if "--jobs 2" in r]
+        assert len(serial) == 1 and len(sharded) == 1
+        assert "--name chaos_jobs" in sharded[0]
+        assert "--force-fail SP" in sharded[0]
+        assert (
+            serial[0].replace("--name chaos ", "--name chaos_jobs ").split()
+            == sharded[0].replace(" --jobs 2", "").split()
+        )
+        # Both manifests are asserted and both artifacts uploaded.
+        assert any("manifest" in r and "chaos_jobs" in r for r in runs)
+        paths = [step.get("with", {}).get("path", "") for step in steps]
+        assert any("SIM_chaos_jobs.json" in p for p in paths)
+
     def test_smoke_job_checks_manifest(self, workflow):
         runs = [
             step.get("run", "")

@@ -610,9 +610,9 @@ class TestBenchResilience:
         calls = []
         real = harness._scene_records
 
-        def counting(preset, code, engines, say, predictor_enabled=True):
+        def counting(preset, code, *args, **kwargs):
             calls.append(code)
-            return real(preset, code, engines, say, predictor_enabled)
+            return real(preset, code, *args, **kwargs)
 
         monkeypatch.setattr(harness, "_scene_records", counting)
 

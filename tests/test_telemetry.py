@@ -244,12 +244,6 @@ class TestProfiling:
 
 
 class TestTraversalStatsShim:
-    def test_old_import_path_still_works(self):
-        from repro.trace.counters import TraversalStats as Old
-        from repro.telemetry.stats import TraversalStats as New
-
-        assert Old is New
-
     def test_publish_folds_into_registry(self):
         from repro.telemetry.stats import TraversalStats
 
