@@ -238,20 +238,18 @@ def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
 def _cmd_bench(args: argparse.Namespace) -> int:
     import os
 
-    from repro.bench import PRESETS, QUICK_PRESET, run_benchmarks, write_payload
+    from repro.bench import PRESETS, QUICK_PRESET, STAGES, run_benchmarks, write_payload
     from repro.bench.harness import FULL_PRESET, check_against_baselines, summarize
     from repro.bvh.cache import configure_artifact_cache
 
     if args.preset:
         preset = PRESETS[args.preset]
-        if args.quick and preset.name != "build":
+        if args.quick and not any(
+            STAGES[name].quick_keeps_repeats for name in preset.benchmarks
+        ):
             # CI smoke: keep the preset's pinned workload (so --check
             # compares the same record set against the committed
-            # baseline) but time a single run per benchmark.  The build
-            # preset keeps its best-of repeats: its timed units finish
-            # in milliseconds, so single-repeat ratios are too noisy
-            # for the gated speedup floors, and the whole sweep is
-            # already well under a minute.
+            # baseline) but time a single run per benchmark.
             from dataclasses import replace
 
             preset = replace(preset, repeats=1)
@@ -474,6 +472,8 @@ def main(argv: list[str] | None = None) -> int:
     faults.add_argument("--engine", default="scalar",
                         help="traversal engine: scalar or wavefront")
 
+    from repro.bench import PRESETS
+
     bench = sub.add_parser(
         "bench",
         help="time scalar vs. wavefront engines, emit BENCH_*.json",
@@ -483,10 +483,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     bench.add_argument("--quick", action="store_true",
                        help="CI smoke preset (3 scenes, <60s) instead of full")
-    bench.add_argument("--preset",
-                       choices=("quick", "full", "predictor", "timing",
-                                "build"),
-                       default=None,
+    bench.add_argument("--preset", choices=tuple(PRESETS), default=None,
                        help="named preset (overrides --quick); 'predictor' "
                        "times only the predictor simulation on all scenes; "
                        "'build' times BVH construction + refit per engine")

@@ -17,6 +17,7 @@ from repro.bench.harness import (
     PREDICTOR_PRESET,
     PRESETS,
     QUICK_PRESET,
+    STAGES,
     TIMING_PRESET,
     BenchPreset,
     BenchRecord,
@@ -35,6 +36,7 @@ __all__ = [
     "PREDICTOR_PRESET",
     "PRESETS",
     "QUICK_PRESET",
+    "STAGES",
     "TIMING_PRESET",
     "BenchPreset",
     "BenchRecord",

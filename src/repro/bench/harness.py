@@ -1,20 +1,21 @@
-"""Timed scalar-vs-wavefront benchmarks emitting ``BENCH_<name>.json``.
+"""Timed engine benchmarks emitting ``BENCH_<name>.json``.
 
-Three benchmarks run per scene, each once per engine on identical
-pinned-seed workloads:
-
-* ``occlusion_trace`` - batch any-hit tracing of the scene's AO rays
-  (the paper's headline workload and the wavefront engine's target);
-* ``closest_trace``   - batch closest-hit tracing of the same rays;
-* ``predictor_sim``   - the functional predictor simulation
-  (:func:`repro.core.simulate.simulate_predictor`) over a capped prefix.
+Every benchmark is one entry of :data:`STAGES`, run per scene on
+pinned-seed workloads (a preset's ``benchmarks`` selects which):
+``occlusion_trace`` / ``closest_trace`` (batch any-hit / closest-hit
+tracing of the scene's AO rays, per traversal engine), ``predictor_sim``
+(the functional predictor simulation over a capped prefix),
+``rt_timing`` (the RT-unit cycle simulation at the paper's shape) and
+``bvh_build`` (BVH construction and refit, vector builders against the
+scalar oracles).  An entry names its record function and the derived
+sections it contributes, each with its gate rules and summary lines;
+payload assembly, :func:`compare_payloads` and :func:`summarize` loop
+over the table.
 
 The JSON artifact (schema ``repro-bench/6``, documented in
 ``docs/BENCHMARKING.md``; older ``repro-bench/*`` artifacts are still
-read) records wall time, rays/second, and the deterministic traversal
-counters, plus derived wavefront-over-scalar speedups and a
-``predictor_throughput`` section (per-scene simulation rates, counters,
-and engine speedups for the predictor pipeline).  When telemetry
+read) records wall time, rays/second, the deterministic traversal
+counters and the derived sections.  When telemetry
 is switched on (``repro --telemetry bench`` or ``REPRO_TELEMETRY=1``)
 the artifact gains a ``telemetry`` section: the labeled metrics
 snapshot and per-stage span summaries collected during the timed runs
@@ -53,14 +54,14 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import telemetry
 from repro.bvh.cache import cached_build_bvh
 from repro.core.simulate import simulate_baseline, simulate_predictor
-from repro.errors import TelemetryAggregationError
+from repro.errors import InputValidationError, TelemetryAggregationError
 from repro.faults.injector import UnitFaultPlan
 from repro.rays import generate_ao_workload
 from repro.resilience import ResilienceOptions
@@ -88,11 +89,589 @@ ACCEPTED_SCHEMAS = (
     "repro-bench/5", "repro-bench/6",
 )
 
-#: Benchmarks gated by the regression check, in artifact order.
-BENCHMARKS = ("occlusion_trace", "closest_trace", "predictor_sim")
-
 #: Allowed relative regression before the check fails (satellite spec: 20%).
 DEFAULT_TOLERANCE = 0.20
+
+
+@dataclass
+class BenchRecord:
+    """One timed run of one benchmark on one scene with one engine."""
+
+    benchmark: str
+    scene: str
+    engine: str
+    rays: int
+    wall_time_s: float
+    rays_per_sec: float
+    node_fetches: int
+    tri_fetches: int
+    extra: Dict[str, float] = field(default_factory=dict)
+
+
+#: Records of one sweep, keyed by (benchmark, scene, engine).
+RecordIndex = Dict[Tuple[str, str, str], BenchRecord]
+
+
+def _timed(fn, repeats: int) -> Tuple[float, object]:
+    """Best-of-``repeats`` wall time for ``fn()`` (minimum damps noise)."""
+    best = float("inf")
+    result = None
+    for _ in range(max(1, repeats)):
+        t0 = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, result
+
+
+@dataclass
+class SceneUnit:
+    """One scene unit's inputs to its stages; ``bvh`` and ``rays`` are
+    set when the first stage that reads them runs."""
+
+    preset: BenchPreset
+    code: str
+    engines: Sequence[str]
+    build_engines: Sequence[str]
+    predictor_enabled: bool
+    scene: object
+    bvh: object = None
+    rays: object = None
+
+
+def _record(
+    benchmark: str, code: str, engine: str, n: int, wall: float,
+    node_fetches: int = 0, tri_fetches: int = 0, extra: Optional[dict] = None,
+) -> BenchRecord:
+    rate = round(n / wall, 1) if wall > 0 else float("inf")
+    return BenchRecord(
+        benchmark, code, engine, n, round(wall, 6), rate,
+        node_fetches, tri_fetches, extra or {},
+    )
+
+
+def _trace_records(benchmark: str, unit: SceneUnit) -> Iterable[BenchRecord]:
+    trace = (
+        trace_occlusion_batch if benchmark == "occlusion_trace"
+        else trace_closest_batch
+    )
+    repeats = unit.preset.repeats
+    # Counters accumulate across repeats; records report the per-run share.
+    runs = max(1, repeats)
+    for engine in unit.engines:
+        stats = TraversalStats()
+        wall, _ = _timed(
+            lambda: trace(unit.bvh, unit.rays, stats=stats, engine=engine),
+            repeats,
+        )
+        yield _record(
+            benchmark, unit.code, engine, len(unit.rays), wall,
+            stats.node_fetches // runs, stats.tri_fetches // runs,
+        )
+
+
+def _sim_records(benchmark: str, unit: SceneUnit) -> Iterable[BenchRecord]:
+    preset = unit.preset
+    sub = unit.rays.subset(np.arange(min(preset.sim_rays, len(unit.rays))))
+    for engine in unit.engines:
+        if unit.predictor_enabled:
+            def run(engine=engine):
+                return simulate_predictor(
+                    unit.bvh, sub, in_flight=preset.in_flight, engine=engine
+                )
+        else:
+            # The ``predictor_off`` ladder rung: exact occlusion and
+            # traversal traffic from plain full traversal, no table.
+            def run(engine=engine):
+                return simulate_baseline(unit.bvh, sub, engine=engine)
+
+        # The simulation trains a fresh table per call, so repeats are
+        # independent; time a single run per repeat and keep the best.
+        wall, result = _timed(run, preset.repeats)
+        extra = {
+            "verified_rate": round(result.verified_rate, 6),
+            "memory_savings": round(result.memory_savings, 6),
+            "predicted_rate": round(result.predicted_rate, 6),
+            "baseline_node_fetches": float(result.baseline_node_fetches),
+        }
+        if not unit.predictor_enabled:
+            extra["predictor_disabled"] = 1.0
+        yield _record(
+            benchmark, unit.code, engine, len(sub), wall,
+            result.predictor_node_fetches, result.predictor_tri_fetches, extra,
+        )
+
+
+def _timing_records(benchmark: str, unit: SceneUnit) -> Iterable[BenchRecord]:
+    """RT-unit cycle-simulation runs: the baseline, then with the
+    predictor (unless the ladder switched it off).
+
+    Runs at the paper's shape (``scaled_gpu_config()``).  Cycles, fetch
+    counters and hit rates are exact functions of seed + scene + config;
+    wall time is recorded for trend-watching only.
+    """
+    from repro.analysis.experiments import (
+        scaled_gpu_config,
+        scaled_predictor_config,
+    )
+    from repro.gpu.simulator import simulate_workload
+
+    preset = unit.preset
+    sub = unit.rays.subset(np.arange(min(preset.sim_rays, len(unit.rays))))
+    for predictor_enabled in (False, True) if unit.predictor_enabled else (False,):
+        config = scaled_gpu_config(
+            scaled_predictor_config() if predictor_enabled else None
+        )
+        wall, out = _timed(
+            lambda: simulate_workload(unit.bvh, sub, config), preset.repeats
+        )
+        extra = {
+            "cycles": float(out.cycles),
+            "l1_hit_rate": round(out.l1_hit_rate, 6),
+            "l2_hit_rate": round(out.l2_hit_rate, 6),
+            "dram_row_hits": float(out.dram_row_hits),
+            "dram_row_hit_rate": round(out.dram_row_hit_rate, 6),
+            "hit_rate": round(out.hit_rate, 6),
+        }
+        if predictor_enabled:
+            extra["predicted_rate"] = round(out.predicted_rate, 6)
+            extra["verified_rate"] = round(out.verified_rate, 6)
+        yield _record(
+            f"{benchmark}_predictor" if predictor_enabled else benchmark,
+            unit.code, "scalar", len(sub), wall,
+            out.node_fetches, out.tri_fetches, extra,
+        )
+
+
+def _build_records(benchmark: str, unit: SceneUnit) -> List[BenchRecord]:
+    """Timed BVH construction + refit for one scene (``bvh_build``).
+
+    Every method in ``preset.build_methods`` builds once per build
+    engine; the vector tree is compared array-for-array against the
+    scalar oracle's and the verdict rides in the vector record's extras
+    (``agrees_with_scalar``).  A refit pass then times both refit
+    engines on a jittered copy of the SAH tree's mesh.  ``rays`` holds
+    the triangle count, so ``rays_per_sec`` reads as build throughput
+    in triangles/second.
+    """
+    from repro.bvh.builder import build_bvh
+    from repro.bvh.refit import jitter_mesh, refit_bvh
+    from repro.bvh.stats import compute_stats
+    from repro.bvh.vector import trees_identical
+
+    preset, code, build_engines = unit.preset, unit.code, unit.build_engines
+    mesh = unit.scene.mesh
+    n = len(mesh)
+    records: List[BenchRecord] = []
+    refit_base = None
+    for method in preset.build_methods:
+        trees: Dict[str, object] = {}
+        method_records: Dict[str, BenchRecord] = {}
+        for engine in build_engines:
+            def run(method=method, engine=engine):
+                return build_bvh(mesh, method=method, engine=engine)
+
+            wall, tree = _timed(run, preset.repeats)
+            trees[engine] = tree
+            stats = compute_stats(tree)
+            rec = _record(f"bvh_build_{method}", code, engine, n, wall, extra={
+                "nodes": float(tree.num_nodes),
+                "max_depth": float(stats.max_depth),
+                "sah_cost": round(stats.sah_cost, 6),
+                "levels": float(len(tree.levels())),
+            })
+            records.append(rec)
+            method_records[engine] = rec
+        if "vector" in trees and "scalar" in trees:
+            agree = trees_identical(trees["vector"], trees["scalar"])
+            method_records["vector"].extra["agrees_with_scalar"] = float(agree)
+        if method == "sah" or refit_base is None:
+            refit_base = trees[build_engines[0]]
+
+    deformed = jitter_mesh(refit_base.mesh, preset.build_jitter, seed=preset.seed)
+    refitted: Dict[str, object] = {}
+    refit_records: Dict[str, BenchRecord] = {}
+    for engine in build_engines:
+        def run_refit(engine=engine):
+            return refit_bvh(refit_base, deformed, engine=engine)
+
+        wall, out = _timed(run_refit, preset.repeats)
+        refitted[engine] = out
+        rec = _record(
+            "bvh_refit", code, engine, n, wall,
+            extra={"nodes": float(refit_base.num_nodes)},
+        )
+        records.append(rec)
+        refit_records[engine] = rec
+    if "vector" in refitted and "scalar" in refitted:
+        agree = np.array_equal(
+            refitted["vector"].lo, refitted["scalar"].lo
+        ) and np.array_equal(refitted["vector"].hi, refitted["scalar"].hi)
+        refit_records["vector"].extra["agrees_with_scalar"] = float(agree)
+    return records
+
+
+def _speedup(slow: Optional[BenchRecord], fast: Optional[BenchRecord]):
+    """``slow``'s wall time over ``fast``'s; None unless both ran."""
+    if slow is not None and fast is not None and fast.wall_time_s > 0:
+        return round(slow.wall_time_s / fast.wall_time_s, 3)
+    return None
+
+
+def _engine_speedup_row(by_key: RecordIndex, benchmark: str) -> dict:
+    """Scalar-over-wavefront speedups of one benchmark, per scene."""
+    ratios = {
+        code: _speedup(by_key.get((benchmark, code, "scalar")), wave)
+        for (name, code, engine), wave in by_key.items()
+        if name == benchmark and engine == "wavefront"
+    }
+    return {code: ratio for code, ratio in ratios.items() if ratio is not None}
+
+
+def _predictor_row(by_key: RecordIndex, code: str) -> dict:
+    """Per-scene predictor-simulation summary (schema 4).
+
+    ``rays_per_sec`` is machine-dependent and recorded for
+    trend-watching; the regression gate uses the engine speedup (both
+    engines time on the same host) and the deterministic rates and
+    counters copied from the simulation's extras.
+    """
+    scalar = by_key.get(("predictor_sim", code, "scalar"))
+    wave = by_key.get(("predictor_sim", code, "wavefront"))
+    row: Dict[str, object] = {}
+    if wave is not None:
+        row["rays_per_sec"] = wave.rays_per_sec
+        row["rates"] = {
+            key: wave.extra[key]
+            for key in ("predicted_rate", "verified_rate", "memory_savings")
+            if key in wave.extra
+        }
+        row["node_fetches"] = wave.node_fetches
+    ratio = _speedup(scalar, wave)
+    if ratio is not None:
+        row["speedup_wavefront_over_scalar"] = ratio
+    return row
+
+
+def _rt_timing_row(by_key: RecordIndex, code: str) -> dict:
+    """Per-scene RT-unit timing summary (schema 5).
+
+    ``cycles`` / ``cycles_predictor`` are machine-independent and gate
+    exactly; the hit rates gate within the tolerance.
+    """
+    base = by_key.get(("rt_timing", code, "scalar"))
+    pred = by_key.get(("rt_timing_predictor", code, "scalar"))
+    row: Dict[str, object] = {}
+    if base is not None:
+        row["cycles"] = base.extra["cycles"]
+        for key in TIMING_HIT_RATES:
+            row[key] = base.extra[key]
+    if pred is not None:
+        row["cycles_predictor"] = pred.extra["cycles"]
+        if base is not None and pred.extra["cycles"]:
+            row["cycle_speedup_predictor"] = round(
+                base.extra["cycles"] / pred.extra["cycles"], 4
+            )
+    return row
+
+
+def _bvh_build_row(by_key: RecordIndex, code: str) -> dict:
+    """Per-scene BVH-construction summary (schema 6).
+
+    Reconstructable from the records alone: ``nodes`` / ``max_depth`` /
+    ``sah_cost`` per method are exact functions of scene + build
+    parameters and gate exactly; ``engines_agree`` asserts every vector
+    tree (and the refit bounds) matched the scalar oracle array-for-
+    array in *this* run; the vector-over-scalar speedups gate against a
+    tolerance floor like the other engine pairs.
+    """
+    methods = sorted({
+        key[0][len("bvh_build_"):]
+        for key in by_key
+        if key[0].startswith("bvh_build_")
+    })
+    per_method: Dict[str, dict] = {}
+    agree_flags: List[bool] = []
+    for method in methods:
+        bench = f"bvh_build_{method}"
+        vec = by_key.get((bench, code, "vector"))
+        sca = by_key.get((bench, code, "scalar"))
+        primary = vec or sca
+        if primary is None:
+            continue
+        row = {
+            "nodes": int(primary.extra["nodes"]),
+            "max_depth": int(primary.extra["max_depth"]),
+            "sah_cost": primary.extra["sah_cost"],
+        }
+        if vec is not None and "agrees_with_scalar" in vec.extra:
+            agree_flags.append(bool(vec.extra["agrees_with_scalar"]))
+        ratio = _speedup(sca, vec)
+        if ratio is not None:
+            row["speedup_vector_over_scalar"] = ratio
+        per_method[method] = row
+    scene_row: Dict[str, object] = {}
+    if per_method:
+        scene_row["methods"] = per_method
+    refit_v = by_key.get(("bvh_refit", code, "vector"))
+    refit_s = by_key.get(("bvh_refit", code, "scalar"))
+    if refit_v is not None and "agrees_with_scalar" in refit_v.extra:
+        agree_flags.append(bool(refit_v.extra["agrees_with_scalar"]))
+    ratio = _speedup(refit_s, refit_v)
+    if ratio is not None:
+        scene_row["refit_speedup_vector_over_scalar"] = ratio
+    if agree_flags:
+        scene_row["engines_agree"] = all(agree_flags)
+    return scene_row
+
+
+def _speedup_line(benchmark: str, per_scene: dict) -> str:
+    rendered = "  ".join(f"{code}={value}x" for code, value in per_scene.items())
+    return f"  {benchmark:16s} wavefront speedup: {rendered}"
+
+
+def _predictor_line(code: str, row: dict) -> str:
+    rates = row.get("rates", {})
+    return (
+        f"  predictor {code}: {row.get('rays_per_sec', 0):,.0f} rays/s  "
+        f"verified {rates.get('verified_rate', 0.0):.1%}  "
+        f"memory {rates.get('memory_savings', 0.0):+.1%}"
+    )
+
+
+def _rt_timing_line(code: str, row: dict) -> str:
+    return (
+        f"  rt_timing {code}: cycles={int(row.get('cycles', 0))}  "
+        f"predictor speedup {row.get('cycle_speedup_predictor', '-')}x  "
+        f"row-hit {row.get('dram_row_hit_rate', 0.0):.1%}"
+    )
+
+
+def _bvh_build_line(code: str, row: dict) -> str:
+    rendered = "  ".join(
+        f"{method}={info.get('speedup_vector_over_scalar', '-')}x"
+        for method, info in row.get("methods", {}).items()
+    )
+    return (
+        f"  bvh_build {code}: {rendered}  "
+        f"refit={row.get('refit_speedup_vector_over_scalar', '-')}x  "
+        f"agree={row.get('engines_agree', '-')}"
+    )
+
+
+def exact(where: str, key: str, base, cur, show=str, note: str = ""):
+    """Gate: any change fails (deterministic quantities)."""
+    if cur != base:
+        return f"{where}: {key} changed {show(base)} -> {show(cur)} ({note})"
+    return None
+
+
+def drift(where: str, key: str, base: float, cur: float, tolerance: float):
+    """Gate: a relative change past ``tolerance`` fails (a zero baseline
+    has no scale and is not gated)."""
+    change = abs(cur - base) / abs(base) if base else 0.0
+    if change > tolerance:
+        return f"{where}: {key} drifted {change:.1%} ({base} -> {cur})"
+    return None
+
+
+def floor(where: str, label: str, base: float, cur: float, tolerance: float):
+    """Gate: a speedup below ``(1 - tolerance)`` x its baseline fails."""
+    bound = base * (1.0 - tolerance)
+    if cur < bound:
+        return (
+            f"{where}: {label} regressed to {cur}x "
+            f"(baseline {base}x, floor {bound:.2f}x)"
+        )
+    return None
+
+
+@dataclass(frozen=True)
+class Gate:
+    """A gate rule on a derived-section row.
+
+    ``kind`` is ``exact``, ``drift`` or ``floor``, or ``agree``: true
+    now wherever the baseline was true (absolute, not a comparison).
+    ``keys`` are the gated fields of the row's ``at`` sub-mapping;
+    ``("*",)`` gates every baseline entry, in order.  ``label`` names
+    the quantity in place of the key (a fanned-out key then joins the
+    location); ``show`` renders values in messages (None leaves the
+    baseline out of "missing" ones); ``note`` says why a key is exact.
+    """
+
+    kind: str
+    keys: Tuple[str, ...] = ("*",)
+    at: str = ""
+    label: str = ""
+    show: Optional[Callable] = str
+    note: str = ""
+
+    def check(self, where: str, key: str, base, cur, tolerance: float):
+        name = self.label or key
+        if self.kind == "agree":
+            if base and cur is not True:
+                return (
+                    f"{where}: vector trees no longer match the scalar "
+                    f"oracle ({key} is {cur!r})"
+                )
+            return None
+        if cur is None:
+            shown = "" if self.show is None else f" (baseline {self.show(base)})"
+            return f"{where}: {name} missing from current run{shown}"
+        if self.kind == "exact":
+            return exact(where, name, base, cur, self.show, self.note)
+        if self.kind == "drift":
+            return drift(where, name, base, cur, tolerance)
+        return floor(where, name, base, cur, tolerance)
+
+
+@dataclass(frozen=True)
+class Each:
+    """``gates`` applied to every entry of a row's ``at`` mapping."""
+
+    at: str
+    noun: str
+    gates: tuple
+
+
+def _gate_row(rules, where, base_row, cur_row, tolerance, problems) -> None:
+    for rule in rules:
+        base = base_row.get(rule.at, {}) if rule.at else base_row
+        cur = cur_row.get(rule.at, {}) if rule.at else cur_row
+        if isinstance(rule, Each):
+            for name, entry in base.items():
+                if name not in cur:
+                    problems.append(
+                        f"{where}: {rule.noun} {name} missing from current run"
+                    )
+                    continue
+                _gate_row(
+                    rule.gates, f"{where}/{name}", entry, cur[name],
+                    tolerance, problems,
+                )
+            continue
+        fan_out = rule.keys == ("*",)
+        for key in base if fan_out else rule.keys:
+            if base.get(key) is None:
+                continue
+            at = f"{where}/{key}" if fan_out and rule.label else where
+            problem = rule.check(at, key, base[key], cur.get(key), tolerance)
+            if problem:
+                problems.append(problem)
+
+
+@dataclass(frozen=True)
+class Section:
+    """A derived section: ``row(by_key, name)`` builds each non-empty
+    row, ``gates`` check it, ``line`` summarizes it.  Rows are scenes (a
+    missing one is reported; messages read ``<key>/<scene>``) except in
+    the engine-speedup section, keyed by bare benchmark."""
+
+    key: str
+    row: Callable[[RecordIndex, str], dict]
+    gates: tuple
+    line: Callable[[str, dict], str]
+    by_scene: bool = True
+
+    def build(self, by_key: RecordIndex, scene_codes: Sequence[str]) -> dict:
+        names = scene_codes if self.by_scene else STAGES
+        rows = {name: self.row(by_key, name) for name in names}
+        return {name: row for name, row in rows.items() if row}
+
+    def gate(self, base: dict, cur: dict, tolerance: float) -> List[str]:
+        problems: List[str] = []
+        for name, row in base.items():
+            where = f"{self.key}/{name}" if self.by_scene else name
+            if self.by_scene and name not in cur:
+                problems.append(f"{where}: scene missing from current run")
+            else:
+                _gate_row(
+                    self.gates, where, row, cur.get(name, {}), tolerance,
+                    problems,
+                )
+        return problems
+
+
+#: Cache and DRAM row-buffer hit rates of the timing baseline.
+TIMING_HIT_RATES = ("l1_hit_rate", "l2_hit_rate", "dram_row_hit_rate")
+
+ENGINE_SPEEDUP = Section(
+    "speedup_wavefront_over_scalar", _engine_speedup_row,
+    (Gate("floor", label="speedup", show="{}x".format),),
+    _speedup_line, by_scene=False,
+)
+PREDICTOR_THROUGHPUT = Section(
+    "predictor_throughput", _predictor_row,
+    # Exact functions of seed + scene, like the fetch counters: a
+    # correctness gate on the predictor pipeline that transfers across
+    # machines.
+    (Gate("drift", at="rates"),),
+    _predictor_line,
+)
+RT_TIMING = Section(
+    "rt_timing", _rt_timing_row,
+    (
+        # Exact functions of seed + scene + config: any drift is an
+        # algorithm change and must re-baseline.
+        Gate("exact", ("cycles", "cycles_predictor"), show=int,
+             note="cycle counts gate exactly"),
+        Gate("drift", TIMING_HIT_RATES, show=None),
+    ),
+    _rt_timing_line,
+)
+BVH_BUILD = Section(
+    "bvh_build", _bvh_build_row,
+    (
+        Each("methods", "method", (
+            # Exact functions of scene + build parameters: any drift is
+            # an algorithm change and must re-baseline deliberately.
+            Gate("exact", ("nodes", "max_depth", "sah_cost"),
+                 note="tree shape gates exactly"),
+            Gate("floor", ("speedup_vector_over_scalar",),
+                 label="vector speedup", show="{}x".format),
+        )),
+        # The vector builders must match the scalar oracles *in the
+        # current run* - the differential gate, not a drift one.
+        Gate("agree", ("engines_agree",)),
+        Gate("floor", ("refit_speedup_vector_over_scalar",),
+             label="refit speedup", show="{}x".format),
+    ),
+    _bvh_build_line,
+)
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One benchmark: ``records(name, unit)`` yields its records for a
+    scene unit; ``sections`` are the derived sections it contributes;
+    ``needs_workload``: whether it reads the scene's BVH and AO rays;
+    ``quick_keeps_repeats``: ``repro bench --quick`` keeps the preset's
+    best-of repeats instead of timing a single run."""
+
+    records: Callable[[str, SceneUnit], Iterable[BenchRecord]]
+    sections: Tuple[Section, ...]
+    needs_workload: bool = True
+    quick_keeps_repeats: bool = False
+
+
+#: The benchmarks, in artifact order.  Payload assembly, the regression
+#: gate and the summary loop over this table.
+STAGES: Dict[str, Stage] = {
+    "occlusion_trace": Stage(_trace_records, (ENGINE_SPEEDUP,)),
+    "closest_trace": Stage(_trace_records, (ENGINE_SPEEDUP,)),
+    "predictor_sim": Stage(_sim_records, (ENGINE_SPEEDUP, PREDICTOR_THROUGHPUT)),
+    "rt_timing": Stage(_timing_records, (RT_TIMING,)),
+    # Builds finish in milliseconds, so single-repeat speedup ratios are
+    # too noisy for the gated floors (and the sweep is short anyway).
+    "bvh_build": Stage(
+        _build_records, (BVH_BUILD,), needs_workload=False,
+        quick_keeps_repeats=True,
+    ),
+}
+
+#: Every derived section, in the order the stages declare them.
+SECTIONS: Tuple[Section, ...] = tuple(
+    dict.fromkeys(s for stage in STAGES.values() for s in stage.sections)
+)
 
 
 @dataclass(frozen=True)
@@ -113,10 +692,12 @@ class BenchPreset:
     sim_rays: int
     in_flight: int = 32
     repeats: int = 2
-    #: Which benchmarks to run (subset of :data:`BENCHMARKS` plus
-    #: ``rt_timing``); the predictor preset times only the simulation
-    #: pipeline, the timing preset only the RT-unit cycle simulator.
-    benchmarks: Tuple[str, ...] = BENCHMARKS
+    #: Which benchmarks to run (names of :data:`STAGES`); the predictor
+    #: preset times only the simulation pipeline, the timing preset only
+    #: the RT-unit cycle simulator.
+    benchmarks: Tuple[str, ...] = (
+        "occlusion_trace", "closest_trace", "predictor_sim",
+    )
     #: Build methods timed by the ``bvh_build`` benchmark, each once
     #: per build engine (vector frontier builder + scalar oracle).
     build_methods: Tuple[str, ...] = ("sah", "median", "lbvh")
@@ -124,12 +705,13 @@ class BenchPreset:
     #: deformed mesh (same ``seed`` as the workload).
     build_jitter: float = 0.05
 
-    def describe(self) -> str:
-        return (
-            f"{self.name}: scenes={','.join(self.scenes)} "
-            f"{self.width}x{self.height}@{self.spp}spp seed={self.seed} "
-            f"detail={self.detail} sim_rays={self.sim_rays}"
-        )
+    def __post_init__(self) -> None:
+        unknown = [name for name in self.benchmarks if name not in STAGES]
+        if unknown:
+            raise InputValidationError(
+                f"unknown benchmark(s) {', '.join(map(repr, unknown))}; "
+                f"registered stages: {', '.join(STAGES)}"
+            )
 
 
 #: CI smoke preset: tiny scenes, fixed seeds, well under a minute.
@@ -230,242 +812,12 @@ PRESETS = {
 }
 
 
-@dataclass
-class BenchRecord:
-    """One timed run of one benchmark on one scene with one engine."""
-
-    benchmark: str
-    scene: str
-    engine: str
-    rays: int
-    wall_time_s: float
-    rays_per_sec: float
-    node_fetches: int
-    tri_fetches: int
-    extra: Dict[str, float] = field(default_factory=dict)
-
-
-def _timed(fn, repeats: int) -> Tuple[float, object]:
-    """Best-of-``repeats`` wall time for ``fn()`` (minimum damps noise)."""
-    best = float("inf")
-    result = None
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
-def _trace_record(
-    benchmark: str, scene_code: str, engine: str, bvh, rays, repeats: int
-) -> BenchRecord:
-    stats = TraversalStats()
-    if benchmark == "occlusion_trace":
-        def run():
-            return trace_occlusion_batch(bvh, rays, stats=stats, engine=engine)
-    else:
-        def run():
-            return trace_closest_batch(bvh, rays, stats=stats, engine=engine)
-    wall, _ = _timed(run, repeats)
-    n = len(rays)
-    # Counters accumulated across repeats; report the per-run share.
-    runs = max(1, repeats)
-    return BenchRecord(
-        benchmark=benchmark,
-        scene=scene_code,
-        engine=engine,
-        rays=n,
-        wall_time_s=round(wall, 6),
-        rays_per_sec=round(n / wall, 1) if wall > 0 else float("inf"),
-        node_fetches=stats.node_fetches // runs,
-        tri_fetches=stats.tri_fetches // runs,
-    )
-
-
-def _sim_record(
-    scene_code: str, engine: str, bvh, rays, preset: BenchPreset,
-    predictor_enabled: bool = True,
-) -> BenchRecord:
-    sub = rays.subset(np.arange(min(preset.sim_rays, len(rays))))
-
-    if predictor_enabled:
-        def run():
-            return simulate_predictor(
-                bvh, sub, in_flight=preset.in_flight, engine=engine
-            )
-    else:
-        # The ``predictor_off`` ladder rung: exact occlusion and
-        # traversal traffic from plain full traversal, no table.
-        def run():
-            return simulate_baseline(bvh, sub, engine=engine)
-
-    # The simulation trains a fresh table per call, so repeats are
-    # independent; time a single run per repeat and keep the best.
-    wall, result = _timed(run, preset.repeats)
-    n = len(sub)
-    extra = {
-        "verified_rate": round(result.verified_rate, 6),
-        "memory_savings": round(result.memory_savings, 6),
-        "predicted_rate": round(result.predicted_rate, 6),
-        "baseline_node_fetches": float(result.baseline_node_fetches),
-    }
-    if not predictor_enabled:
-        extra["predictor_disabled"] = 1.0
-    return BenchRecord(
-        benchmark="predictor_sim",
-        scene=scene_code,
-        engine=engine,
-        rays=n,
-        wall_time_s=round(wall, 6),
-        rays_per_sec=round(n / wall, 1) if wall > 0 else float("inf"),
-        node_fetches=result.predictor_node_fetches,
-        tri_fetches=result.predictor_tri_fetches,
-        extra=extra,
-    )
-
-
-def _timing_record(
-    scene_code: str, bvh, rays, preset: BenchPreset, predictor_enabled: bool,
-) -> BenchRecord:
-    """One RT-unit cycle-simulation run (``rt_timing`` benchmark).
-
-    Runs at the paper's shape (``scaled_gpu_config()``).  Cycles, fetch
-    counters and hit rates are exact functions of seed + scene + config;
-    wall time is recorded for trend-watching only.
-    """
-    from repro.analysis.experiments import (
-        scaled_gpu_config,
-        scaled_predictor_config,
-    )
-    from repro.gpu.simulator import simulate_workload
-
-    sub = rays.subset(np.arange(min(preset.sim_rays, len(rays))))
-    config = scaled_gpu_config(
-        scaled_predictor_config() if predictor_enabled else None
-    )
-
-    def run():
-        return simulate_workload(bvh, sub, config)
-
-    wall, out = _timed(run, preset.repeats)
-    n = len(sub)
-    extra = {
-        "cycles": float(out.cycles),
-        "l1_hit_rate": round(out.l1_hit_rate, 6),
-        "l2_hit_rate": round(out.l2_hit_rate, 6),
-        "dram_row_hits": float(out.dram_row_hits),
-        "dram_row_hit_rate": round(out.dram_row_hit_rate, 6),
-        "hit_rate": round(out.hit_rate, 6),
-    }
-    if predictor_enabled:
-        extra["predicted_rate"] = round(out.predicted_rate, 6)
-        extra["verified_rate"] = round(out.verified_rate, 6)
-    return BenchRecord(
-        benchmark="rt_timing_predictor" if predictor_enabled else "rt_timing",
-        scene=scene_code,
-        engine="scalar",
-        rays=n,
-        wall_time_s=round(wall, 6),
-        rays_per_sec=round(n / wall, 1) if wall > 0 else float("inf"),
-        node_fetches=out.node_fetches,
-        tri_fetches=out.tri_fetches,
-        extra=extra,
-    )
-
-
-def _build_records(
-    preset: BenchPreset, code: str, build_engines: Sequence[str], say, scene
-) -> List[BenchRecord]:
-    """Timed BVH construction + refit for one scene (``bvh_build``).
-
-    Every method in ``preset.build_methods`` builds once per build
-    engine; the vector tree is compared array-for-array against the
-    scalar oracle's and the verdict rides in the vector record's extras
-    (``agrees_with_scalar``).  A refit pass then times both refit
-    engines on a jittered copy of the SAH tree's mesh.  ``rays`` holds
-    the triangle count, so ``rays_per_sec`` reads as build throughput
-    in triangles/second.
-    """
-    from repro.bvh.builder import build_bvh
-    from repro.bvh.refit import jitter_mesh, refit_bvh
-    from repro.bvh.stats import compute_stats
-    from repro.bvh.vector import trees_identical
-
-    n = len(scene.mesh)
-    records: List[BenchRecord] = []
-    refit_base = None
-    for method in preset.build_methods:
-        trees: Dict[str, object] = {}
-        method_records: Dict[str, BenchRecord] = {}
-        for engine in build_engines:
-            def run(method=method, engine=engine):
-                return build_bvh(scene.mesh, method=method, engine=engine)
-
-            wall, tree = _timed(run, preset.repeats)
-            trees[engine] = tree
-            stats = compute_stats(tree)
-            rec = BenchRecord(
-                benchmark=f"bvh_build_{method}",
-                scene=code,
-                engine=engine,
-                rays=n,
-                wall_time_s=round(wall, 6),
-                rays_per_sec=round(n / wall, 1) if wall > 0 else float("inf"),
-                node_fetches=0,
-                tri_fetches=0,
-                extra={
-                    "nodes": float(tree.num_nodes),
-                    "max_depth": float(stats.max_depth),
-                    "sah_cost": round(stats.sah_cost, 6),
-                    "levels": float(len(tree.levels())),
-                },
-            )
-            records.append(rec)
-            method_records[engine] = rec
-            say(
-                f"[{code}] {'bvh_build_' + method:16s} {engine:9s} "
-                f"{rec.wall_time_s * 1e3:8.1f} ms  "
-                f"{rec.rays_per_sec:>12,.0f} tris/s"
-            )
-        if "vector" in trees and "scalar" in trees:
-            agree = trees_identical(trees["vector"], trees["scalar"])
-            method_records["vector"].extra["agrees_with_scalar"] = float(agree)
-        if method == "sah" or refit_base is None:
-            refit_base = trees[build_engines[0]]
-
-    deformed = jitter_mesh(refit_base.mesh, preset.build_jitter, seed=preset.seed)
-    refitted: Dict[str, object] = {}
-    refit_records: Dict[str, BenchRecord] = {}
-    for engine in build_engines:
-        def run_refit(engine=engine):
-            return refit_bvh(refit_base, deformed, engine=engine)
-
-        wall, out = _timed(run_refit, preset.repeats)
-        refitted[engine] = out
-        rec = BenchRecord(
-            benchmark="bvh_refit",
-            scene=code,
-            engine=engine,
-            rays=n,
-            wall_time_s=round(wall, 6),
-            rays_per_sec=round(n / wall, 1) if wall > 0 else float("inf"),
-            node_fetches=0,
-            tri_fetches=0,
-            extra={"nodes": float(refit_base.num_nodes)},
-        )
-        records.append(rec)
-        refit_records[engine] = rec
-        say(
-            f"[{code}] {'bvh_refit':16s} {engine:9s} "
-            f"{rec.wall_time_s * 1e3:8.1f} ms  "
-            f"{rec.rays_per_sec:>12,.0f} tris/s"
-        )
-    if "vector" in refitted and "scalar" in refitted:
-        agree = np.array_equal(
-            refitted["vector"].lo, refitted["scalar"].lo
-        ) and np.array_equal(refitted["vector"].hi, refitted["scalar"].hi)
-        refit_records["vector"].extra["agrees_with_scalar"] = float(agree)
-    return records
+def _rate(rec: BenchRecord) -> str:
+    """A progress line's figure: simulated cycles, else throughput."""
+    if "cycles" in rec.extra:
+        return f"cycles={int(rec.extra['cycles'])}"
+    unit = "tris/s" if rec.benchmark.startswith("bvh_") else "rays/s"
+    return f"{rec.rays_per_sec:>12,.0f} {unit}"
 
 
 def _scene_records(
@@ -477,71 +829,38 @@ def _scene_records(
     *,
     build_engines: Sequence[str],
 ) -> List[BenchRecord]:
-    """Run the full benchmark matrix for one scene (one sweep *unit*).
+    """Run the preset's stages for one scene (one sweep *unit*).
 
     ``engines`` are the traversal engines timed; ``build_engines`` the
     BVH builders the ``bvh_build`` benchmark times (the vector builder
     against its scalar oracle on the full rung).
     """
+    # Stages that build their own inputs run first; the cached BVH and
+    # the AO workload are built only if a selected stage reads them.
+    selected = sorted(
+        (name for name in STAGES if name in preset.benchmarks),
+        key=lambda name: STAGES[name].needs_workload,
+    )
     records: List[BenchRecord] = []
-    selected = tuple(getattr(preset, "benchmarks", BENCHMARKS))
-    # The build benchmark times its own construction, so a unit that
-    # runs nothing else skips the cached BVH and the AO workload.
-    needs_workload = any(b != "bvh_build" for b in selected)
     say(f"[{code}] building scene (detail={preset.detail})")
     with telemetry.label_context(scene=code):
-        scene = get_scene(code, detail=preset.detail)
-        if "bvh_build" in selected:
-            records.extend(
-                _build_records(preset, code, build_engines, say, scene)
-            )
-        if not needs_workload:
-            return records
-        bvh = cached_build_bvh(scene.mesh)
-        workload = generate_ao_workload(
-            scene,
-            bvh,
-            width=preset.width,
-            height=preset.height,
-            spp=preset.spp,
-            seed=preset.seed,
+        unit = SceneUnit(
+            preset, code, engines, build_engines, predictor_enabled,
+            scene=get_scene(code, detail=preset.detail),
         )
-        rays = workload.rays
-        say(f"[{code}] {len(rays)} AO rays")
-        for benchmark in ("occlusion_trace", "closest_trace"):
-            if benchmark not in selected:
-                continue
-            for engine in engines:
-                rec = _trace_record(
-                    benchmark, code, engine, bvh, rays, preset.repeats
-                )
-                records.append(rec)
-                say(
-                    f"[{code}] {benchmark:16s} {engine:9s} "
-                    f"{rec.wall_time_s * 1e3:8.1f} ms  {rec.rays_per_sec:>12,.0f} rays/s"
-                )
-        if "predictor_sim" in selected:
-            for engine in engines:
-                rec = _sim_record(
-                    code, engine, bvh, rays, preset,
-                    predictor_enabled=predictor_enabled,
-                )
-                records.append(rec)
-                say(
-                    f"[{code}] {'predictor_sim':16s} {engine:9s} "
-                    f"{rec.wall_time_s * 1e3:8.1f} ms  {rec.rays_per_sec:>12,.0f} rays/s"
-                )
-        if "rt_timing" in selected:
-            variants = (False, True) if predictor_enabled else (False,)
-            for with_predictor in variants:
-                rec = _timing_record(
-                    code, bvh, rays, preset, predictor_enabled=with_predictor,
-                )
+        for name in selected:
+            if STAGES[name].needs_workload and unit.rays is None:
+                unit.bvh = cached_build_bvh(unit.scene.mesh)
+                unit.rays = generate_ao_workload(
+                    unit.scene, unit.bvh, width=preset.width,
+                    height=preset.height, spp=preset.spp, seed=preset.seed,
+                ).rays
+                say(f"[{code}] {len(unit.rays)} AO rays")
+            for rec in STAGES[name].records(name, unit):
                 records.append(rec)
                 say(
                     f"[{code}] {rec.benchmark:16s} {rec.engine:9s} "
-                    f"{rec.wall_time_s * 1e3:8.1f} ms  "
-                    f"cycles={int(rec.extra['cycles'])}"
+                    f"{rec.wall_time_s * 1e3:8.1f} ms  {_rate(rec)}"
                 )
     return records
 
@@ -668,16 +987,6 @@ def _build_payload(
     preset: BenchPreset, scene_codes: Sequence[str], records: List[BenchRecord]
 ) -> dict:
     by_key = {(r.benchmark, r.scene, r.engine): r for r in records}
-    speedups: Dict[str, Dict[str, float]] = {}
-    for benchmark in BENCHMARKS:
-        per_scene: Dict[str, float] = {}
-        for code in scene_codes:
-            scalar = by_key.get((benchmark, code, "scalar"))
-            wave = by_key.get((benchmark, code, "wavefront"))
-            if scalar and wave and wave.wall_time_s > 0:
-                per_scene[code] = round(scalar.wall_time_s / wave.wall_time_s, 3)
-        if per_scene:
-            speedups[benchmark] = per_scene
     payload = {
         "schema": BENCH_SCHEMA,
         "name": preset.name,
@@ -685,140 +994,14 @@ def _build_payload(
         "scenes": list(scene_codes),
         "results": [asdict(r) for r in records],
         "derived": {
-            "speedup_wavefront_over_scalar": speedups,
-            "predictor_throughput": _predictor_throughput(
-                by_key, scene_codes
-            ),
-            "rt_timing": _rt_timing_section(by_key, scene_codes),
-            "bvh_build": _bvh_build_section(by_key, scene_codes),
+            section.key: section.build(by_key, scene_codes)
+            for section in SECTIONS
         },
     }
     section = distributed.payload_section()
     if section is not None:
         payload["telemetry"] = section
     return payload
-
-
-def _predictor_throughput(
-    by_key: Dict[Tuple[str, str, str], BenchRecord],
-    scene_codes: Sequence[str],
-) -> Dict[str, dict]:
-    """Per-scene predictor-simulation summary (schema 4).
-
-    ``rays_per_sec`` is machine-dependent and recorded for
-    trend-watching; the regression gate uses the engine speedup (both
-    engines time on the same host) and the deterministic rates and
-    counters copied from the simulation's extras.
-    """
-    section: Dict[str, dict] = {}
-    for code in scene_codes:
-        scalar = by_key.get(("predictor_sim", code, "scalar"))
-        wave = by_key.get(("predictor_sim", code, "wavefront"))
-        row: Dict[str, object] = {}
-        if wave is not None:
-            row["rays_per_sec"] = wave.rays_per_sec
-            row["rates"] = {
-                key: wave.extra[key]
-                for key in ("predicted_rate", "verified_rate",
-                            "memory_savings")
-                if key in wave.extra
-            }
-            row["node_fetches"] = wave.node_fetches
-        if scalar is not None and wave is not None and wave.wall_time_s > 0:
-            row["speedup_wavefront_over_scalar"] = round(
-                scalar.wall_time_s / wave.wall_time_s, 3
-            )
-        if row:
-            section[code] = row
-    return section
-
-
-def _rt_timing_section(
-    by_key: Dict[Tuple[str, str, str], BenchRecord],
-    scene_codes: Sequence[str],
-) -> Dict[str, dict]:
-    """Per-scene RT-unit timing summary (schema 5).
-
-    ``cycles`` / ``cycles_predictor`` are machine-independent and gate
-    exactly; the hit rates gate within the tolerance.
-    """
-    section: Dict[str, dict] = {}
-    for code in scene_codes:
-        base = by_key.get(("rt_timing", code, "scalar"))
-        pred = by_key.get(("rt_timing_predictor", code, "scalar"))
-        row: Dict[str, object] = {}
-        if base is not None:
-            row["cycles"] = base.extra["cycles"]
-            for key in ("l1_hit_rate", "l2_hit_rate", "dram_row_hit_rate"):
-                row[key] = base.extra[key]
-        if pred is not None:
-            row["cycles_predictor"] = pred.extra["cycles"]
-            if base is not None and pred.extra["cycles"]:
-                row["cycle_speedup_predictor"] = round(
-                    base.extra["cycles"] / pred.extra["cycles"], 4
-                )
-        if row:
-            section[code] = row
-    return section
-
-
-def _bvh_build_section(
-    by_key: Dict[Tuple[str, str, str], BenchRecord],
-    scene_codes: Sequence[str],
-) -> Dict[str, dict]:
-    """Per-scene BVH-construction summary (schema 6).
-
-    Reconstructable from the records alone: ``nodes`` / ``max_depth`` /
-    ``sah_cost`` per method are exact functions of scene + build
-    parameters and gate exactly; ``engines_agree`` asserts every vector
-    tree (and the refit bounds) matched the scalar oracle array-for-
-    array in *this* run; the vector-over-scalar speedups gate against a
-    tolerance floor like the other engine pairs.
-    """
-    methods = sorted({
-        key[0][len("bvh_build_"):]
-        for key in by_key
-        if key[0].startswith("bvh_build_")
-    })
-    section: Dict[str, dict] = {}
-    for code in scene_codes:
-        per_method: Dict[str, dict] = {}
-        agree_flags: List[bool] = []
-        for method in methods:
-            bench = f"bvh_build_{method}"
-            vec = by_key.get((bench, code, "vector"))
-            sca = by_key.get((bench, code, "scalar"))
-            primary = vec or sca
-            if primary is None:
-                continue
-            row = {
-                "nodes": int(primary.extra["nodes"]),
-                "max_depth": int(primary.extra["max_depth"]),
-                "sah_cost": primary.extra["sah_cost"],
-            }
-            if vec is not None and "agrees_with_scalar" in vec.extra:
-                agree_flags.append(bool(vec.extra["agrees_with_scalar"]))
-            if vec is not None and sca is not None and vec.wall_time_s > 0:
-                row["speedup_vector_over_scalar"] = round(
-                    sca.wall_time_s / vec.wall_time_s, 3
-                )
-            per_method[method] = row
-        scene_row: Dict[str, object] = {}
-        if per_method:
-            scene_row["methods"] = per_method
-        refit_v = by_key.get(("bvh_refit", code, "vector"))
-        refit_s = by_key.get(("bvh_refit", code, "scalar"))
-        if refit_v is not None and "agrees_with_scalar" in refit_v.extra:
-            agree_flags.append(bool(refit_v.extra["agrees_with_scalar"]))
-        if refit_v is not None and refit_s is not None and refit_v.wall_time_s > 0:
-            scene_row["refit_speedup_vector_over_scalar"] = round(
-                refit_s.wall_time_s / refit_v.wall_time_s, 3
-            )
-        if agree_flags:
-            scene_row["engines_agree"] = all(agree_flags)
-        if scene_row:
-            section[code] = scene_row
-    return section
 
 
 def write_payload(payload: dict, out_dir: str) -> str:
@@ -849,185 +1032,27 @@ def compare_payloads(
 ) -> List[str]:
     """Regression check: current run vs. a committed baseline.
 
-    Gated quantities (see module docstring for why):
-
-    * each wavefront-over-scalar **speedup** may not fall more than
-      ``tolerance`` below its baseline value;
-    * each record's **node/tri fetch counters** may not drift more than
-      ``tolerance`` from the baseline (they are deterministic for a
-      pinned seed, so any drift is an algorithm change - new traversal
-      logic should re-baseline deliberately, not silently);
-    * each scene's **predictor-simulation rates** (predicted / verified
-      / memory savings, from the ``predictor_throughput`` section) may
-      not drift more than ``tolerance`` relative - like the counters,
-      they are exact functions of seed + scene, so this is a
-      correctness gate on the predictor pipeline that transfers across
-      machines.
+    Each derived section is gated by the rules its stage declares
+    (:data:`SECTIONS`): speedups may not fall more than ``tolerance``
+    below baseline, deterministic rates not drift more than it, cycle
+    counts and tree shapes not change at all, and the vector builders
+    must agree with the scalar oracles.  Each record's **node/tri fetch
+    counters** may not drift more than ``tolerance`` either: they are
+    exact for a pinned seed, so drift is an algorithm change that
+    should re-baseline deliberately, not slip through.
 
     Returns:
         Human-readable regression messages; empty means the gate passes.
     """
+    base_derived = baseline.get("derived", {})
+    cur_derived = current.get("derived", {})
     problems: List[str] = []
-    base_speed = baseline.get("derived", {}).get("speedup_wavefront_over_scalar", {})
-    cur_speed = current.get("derived", {}).get("speedup_wavefront_over_scalar", {})
-    for benchmark, scenes in base_speed.items():
-        for code, base_value in scenes.items():
-            cur_value = cur_speed.get(benchmark, {}).get(code)
-            if cur_value is None:
-                problems.append(
-                    f"{benchmark}/{code}: speedup missing from current run "
-                    f"(baseline {base_value}x)"
-                )
-                continue
-            floor = base_value * (1.0 - tolerance)
-            if cur_value < floor:
-                problems.append(
-                    f"{benchmark}/{code}: speedup regressed to {cur_value}x "
-                    f"(baseline {base_value}x, floor {floor:.2f}x)"
-                )
-
-    base_pred = baseline.get("derived", {}).get("predictor_throughput", {})
-    cur_pred = current.get("derived", {}).get("predictor_throughput", {})
-    for code, base_row in base_pred.items():
-        cur_row = cur_pred.get(code)
-        if cur_row is None:
-            problems.append(
-                f"predictor_throughput/{code}: scene missing from current run"
-            )
-            continue
-        for rate, base_value in base_row.get("rates", {}).items():
-            cur_value = cur_row.get("rates", {}).get(rate)
-            if cur_value is None:
-                problems.append(
-                    f"predictor_throughput/{code}: {rate} missing from "
-                    f"current run (baseline {base_value})"
-                )
-                continue
-            if base_value == 0:
-                continue
-            drift = abs(cur_value - base_value) / abs(base_value)
-            if drift > tolerance:
-                problems.append(
-                    f"predictor_throughput/{code}: {rate} drifted "
-                    f"{drift:.1%} ({base_value} -> {cur_value})"
-                )
-
-    base_rt = baseline.get("derived", {}).get("rt_timing", {})
-    cur_rt = current.get("derived", {}).get("rt_timing", {})
-    for code, base_row in base_rt.items():
-        cur_row = cur_rt.get(code)
-        if cur_row is None:
-            problems.append(f"rt_timing/{code}: scene missing from current run")
-            continue
-        # Cycle counts are exact functions of seed + scene + config:
-        # any drift is an algorithm change and must re-baseline.
-        for key in ("cycles", "cycles_predictor"):
-            if key not in base_row:
-                continue
-            cur_value = cur_row.get(key)
-            if cur_value is None:
-                problems.append(
-                    f"rt_timing/{code}: {key} missing from current run "
-                    f"(baseline {int(base_row[key])})"
-                )
-            elif cur_value != base_row[key]:
-                problems.append(
-                    f"rt_timing/{code}: {key} changed "
-                    f"{int(base_row[key])} -> {int(cur_value)} "
-                    "(cycle counts gate exactly)"
-                )
-        for key in ("l1_hit_rate", "l2_hit_rate", "dram_row_hit_rate"):
-            base_value = base_row.get(key)
-            if base_value is None:
-                continue
-            cur_value = cur_row.get(key)
-            if cur_value is None:
-                problems.append(
-                    f"rt_timing/{code}: {key} missing from current run"
-                )
-                continue
-            if base_value == 0:
-                continue
-            drift = abs(cur_value - base_value) / abs(base_value)
-            if drift > tolerance:
-                problems.append(
-                    f"rt_timing/{code}: {key} drifted {drift:.1%} "
-                    f"({base_value} -> {cur_value})"
-                )
-
-    base_build = baseline.get("derived", {}).get("bvh_build", {})
-    cur_build = current.get("derived", {}).get("bvh_build", {})
-    for code, base_row in base_build.items():
-        cur_row = cur_build.get(code)
-        if cur_row is None:
-            problems.append(f"bvh_build/{code}: scene missing from current run")
-            continue
-        for method, base_m in base_row.get("methods", {}).items():
-            cur_m = cur_row.get("methods", {}).get(method)
-            if cur_m is None:
-                problems.append(
-                    f"bvh_build/{code}: method {method} missing from "
-                    "current run"
-                )
-                continue
-            # Node counts, tree depth and SAH cost are exact functions
-            # of scene + build parameters: any drift is an algorithm
-            # change and must re-baseline deliberately.
-            for key in ("nodes", "max_depth", "sah_cost"):
-                if key not in base_m:
-                    continue
-                cur_value = cur_m.get(key)
-                if cur_value is None:
-                    problems.append(
-                        f"bvh_build/{code}/{method}: {key} missing from "
-                        f"current run (baseline {base_m[key]})"
-                    )
-                elif cur_value != base_m[key]:
-                    problems.append(
-                        f"bvh_build/{code}/{method}: {key} changed "
-                        f"{base_m[key]} -> {cur_value} "
-                        "(tree shape gates exactly)"
-                    )
-            base_speedup = base_m.get("speedup_vector_over_scalar")
-            if base_speedup is not None:
-                cur_speedup = cur_m.get("speedup_vector_over_scalar")
-                if cur_speedup is None:
-                    problems.append(
-                        f"bvh_build/{code}/{method}: vector speedup missing "
-                        f"from current run (baseline {base_speedup}x)"
-                    )
-                else:
-                    floor = base_speedup * (1.0 - tolerance)
-                    if cur_speedup < floor:
-                        problems.append(
-                            f"bvh_build/{code}/{method}: vector speedup "
-                            f"regressed to {cur_speedup}x (baseline "
-                            f"{base_speedup}x, floor {floor:.2f}x)"
-                        )
-        # The vector builders must match the scalar oracles *in the
-        # current run* - the differential gate, not a drift one.
-        if base_row.get("engines_agree") and cur_row.get("engines_agree") is not True:
-            problems.append(
-                f"bvh_build/{code}: vector trees no longer match the "
-                "scalar oracle (engines_agree is "
-                f"{cur_row.get('engines_agree')!r})"
-            )
-        base_refit = base_row.get("refit_speedup_vector_over_scalar")
-        if base_refit is not None:
-            cur_refit = cur_row.get("refit_speedup_vector_over_scalar")
-            if cur_refit is None:
-                problems.append(
-                    f"bvh_build/{code}: refit speedup missing from current "
-                    f"run (baseline {base_refit}x)"
-                )
-            else:
-                floor = base_refit * (1.0 - tolerance)
-                if cur_refit < floor:
-                    problems.append(
-                        f"bvh_build/{code}: refit speedup regressed to "
-                        f"{cur_refit}x (baseline {base_refit}x, "
-                        f"floor {floor:.2f}x)"
-                    )
+    for section in SECTIONS:
+        problems += section.gate(
+            base_derived.get(section.key, {}),
+            cur_derived.get(section.key, {}),
+            tolerance,
+        )
 
     cur_records = {
         (r["benchmark"], r["scene"], r["engine"]): r
@@ -1040,16 +1065,12 @@ def compare_payloads(
             problems.append(f"{'/'.join(key)}: record missing from current run")
             continue
         for counter in ("node_fetches", "tri_fetches"):
-            base_value = base_rec[counter]
-            cur_value = cur_rec[counter]
-            if base_value == 0:
-                continue
-            drift = abs(cur_value - base_value) / base_value
-            if drift > tolerance:
-                problems.append(
-                    f"{'/'.join(key)}: {counter} drifted {drift:.1%} "
-                    f"({base_value} -> {cur_value})"
-                )
+            problem = drift(
+                "/".join(key), counter, base_rec[counter], cur_rec[counter],
+                tolerance,
+            )
+            if problem:
+                problems.append(problem)
     return problems
 
 
@@ -1070,38 +1091,8 @@ def check_against_baselines(
 def summarize(payload: dict) -> str:
     """Short human-readable summary of an artifact (CLI output)."""
     lines = [f"benchmark artifact: {payload['name']} ({payload['schema']})"]
-    speed = payload.get("derived", {}).get("speedup_wavefront_over_scalar", {})
-    for benchmark in BENCHMARKS:
-        per_scene = speed.get(benchmark)
-        if not per_scene:
-            continue
-        rendered = "  ".join(f"{code}={value}x" for code, value in per_scene.items())
-        lines.append(f"  {benchmark:16s} wavefront speedup: {rendered}")
-    throughput = payload.get("derived", {}).get("predictor_throughput", {})
-    for code, row in throughput.items():
-        rates = row.get("rates", {})
-        lines.append(
-            f"  predictor {code}: {row.get('rays_per_sec', 0):,.0f} rays/s  "
-            f"verified {rates.get('verified_rate', 0.0):.1%}  "
-            f"memory {rates.get('memory_savings', 0.0):+.1%}"
-        )
-    rt = payload.get("derived", {}).get("rt_timing", {})
-    for code, row in rt.items():
-        lines.append(
-            f"  rt_timing {code}: cycles={int(row.get('cycles', 0))}  "
-            f"predictor speedup {row.get('cycle_speedup_predictor', '-')}x  "
-            f"row-hit {row.get('dram_row_hit_rate', 0.0):.1%}"
-        )
-    build = payload.get("derived", {}).get("bvh_build", {})
-    for code, row in build.items():
-        methods = row.get("methods", {})
-        rendered = "  ".join(
-            f"{method}={info.get('speedup_vector_over_scalar', '-')}x"
-            for method, info in methods.items()
-        )
-        refit = row.get("refit_speedup_vector_over_scalar", "-")
-        lines.append(
-            f"  bvh_build {code}: {rendered}  refit={refit}x  "
-            f"agree={row.get('engines_agree', '-')}"
-        )
+    derived = payload.get("derived", {})
+    for section in SECTIONS:
+        for name, row in derived.get(section.key, {}).items():
+            lines.append(section.line(name, row))
     return "\n".join(lines)

@@ -113,11 +113,14 @@ def _unit_worker(
         configure_artifact_cache(cache_root)
     distributed.init_worker(telemetry_on, ambient_labels)
     supervisor = RunSupervisor.from_options(options) if options else None
+    injected = fault_plan.injected if fault_plan else 0
     body, entry = _run_unit(code, unit_fn, supervisor, fault_plan, _quiet)
     return {
         "body": body,
         "entry": entry.to_dict() if entry else None,
         "supervisor": supervisor.describe() if supervisor else None,
+        # Faults injected into this worker's copy of the plan.
+        "injected": fault_plan.injected - injected if fault_plan else 0,
         "telemetry": distributed.capture_snapshot(unit=code),
     }
 
@@ -226,6 +229,8 @@ def run_units(
                     supervisor.total_backoff_s += (
                         out["supervisor"]["total_backoff_s"]
                     )
+                if fault_plan is not None:
+                    fault_plan.injected += out["injected"]
                 # Persist as each worker finishes, not in scene order:
                 # a kill between completions loses only unfinished units.
                 settle(code, out["body"], entry)

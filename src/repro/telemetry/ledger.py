@@ -275,9 +275,9 @@ def compare_runs(
         raise LedgerError(
             f"cannot compare a {old_kind} artifact with a {new_kind} one"
         )
-    if old_kind == "bench":
-        from repro.bench.harness import compare_payloads
+    from repro.bench.harness import compare_payloads, drift
 
+    if old_kind == "bench":
         return compare_payloads(new, old, tolerance=tolerance)
 
     problems: List[str] = []
@@ -298,12 +298,11 @@ def compare_runs(
                     f"simulate/{code}: {rate} missing from new run"
                 )
                 continue
-            drift = abs(new_value - old_value) / abs(old_value)
-            if drift > tolerance:
-                problems.append(
-                    f"simulate/{code}: {rate} drifted {drift:.1%} "
-                    f"({old_value} -> {new_value})"
-                )
+            problem = drift(
+                f"simulate/{code}", rate, old_value, new_value, tolerance
+            )
+            if problem:
+                problems.append(problem)
     return problems
 
 

@@ -9,6 +9,7 @@ import pytest
 from repro.bench import (
     ACCEPTED_SCHEMAS,
     BENCH_SCHEMA,
+    PRESETS,
     QUICK_PRESET,
     BenchPreset,
     compare_payloads,
@@ -17,6 +18,7 @@ from repro.bench import (
     write_payload,
 )
 from repro.bench.harness import check_against_baselines, summarize
+from repro.errors import InputValidationError
 
 #: One tiny scene, tiny image: keeps the end-to-end test fast while still
 #: exercising every benchmark and both engines.
@@ -115,6 +117,16 @@ class TestArtifact:
         assert "testrun" in text
 
 
+class TestPresetValidation:
+    def test_unknown_benchmark_rejected(self):
+        with pytest.raises(InputValidationError, match="bvh_build") as info:
+            BenchPreset(
+                name="typo", scenes=("SB",), width=4, height=4, spp=1,
+                seed=1, detail=0.25, sim_rays=8, benchmarks=("occlusion",),
+            )
+        assert "'occlusion'" in str(info.value)
+
+
 class TestRegressionGate:
     def test_identical_payloads_pass(self, payload):
         assert compare_payloads(payload, payload) == []
@@ -148,6 +160,29 @@ class TestRegressionGate:
         current["results"] = current["results"][1:]
         problems = compare_payloads(current, payload)
         assert any("missing" in p for p in problems)
+
+    def test_predictor_rate_drift_fails(self, payload):
+        baseline = copy.deepcopy(payload)
+        baseline["derived"]["predictor_throughput"]["SB"]["rates"][
+            "verified_rate"] = 0.5
+        current = copy.deepcopy(baseline)
+        rates = current["derived"]["predictor_throughput"]["SB"]["rates"]
+        rates["verified_rate"] = 0.55
+        assert compare_payloads(current, baseline, tolerance=0.2) == []
+        rates["verified_rate"] = 0.8
+        problems = compare_payloads(current, baseline, tolerance=0.2)
+        assert problems == [
+            "predictor_throughput/SB: verified_rate drifted 60.0% "
+            "(0.5 -> 0.8)"
+        ]
+
+    def test_predictor_scene_missing_fails(self, payload):
+        current = copy.deepcopy(payload)
+        del current["derived"]["predictor_throughput"]["SB"]
+        problems = compare_payloads(current, payload)
+        assert problems == [
+            "predictor_throughput/SB: scene missing from current run"
+        ]
 
     def test_missing_baseline_reported(self, payload, tmp_path):
         problems = check_against_baselines(payload, str(tmp_path))
@@ -368,11 +403,17 @@ BASELINE_DIR = os.path.join(
 class TestCommittedBaselines:
     """The artifacts CI gates on must stay loadable and well-formed."""
 
-    @pytest.mark.parametrize("name", ["quick", "wavefront"])
+    @pytest.mark.parametrize(
+        "name", ["quick", "wavefront", "predictor", "timing", "build"]
+    )
     def test_baseline_loads(self, name):
         payload = load_payload(os.path.join(BASELINE_DIR, f"BENCH_{name}.json"))
         assert payload["schema"] in ACCEPTED_SCHEMAS
         assert payload["results"]
+        # Every committed baseline belongs to a registered preset (the
+        # full preset is registered as "full" and named "wavefront").
+        assert payload["name"] in {p.name for p in PRESETS.values()}
+        assert compare_payloads(payload, payload) == []
 
     def test_quick_baseline_matches_preset(self):
         payload = load_payload(os.path.join(BASELINE_DIR, "BENCH_quick.json"))

@@ -204,6 +204,17 @@ class TestChaosGate:
         paths = [step.get("with", {}).get("path", "") for step in steps]
         assert any("SIM_chaos_jobs.json" in p for p in paths)
 
+    def test_smoke_job_checks_sharded_injection_count(self, workflow):
+        runs = [
+            step.get("run", "")
+            for step in workflow["jobs"]["chaos-smoke"]["steps"]
+        ]
+        (check,) = [r for r in runs if "manifest" in r and "chaos_jobs" in r]
+        # The sharded sweep's artifact must count the faults its workers
+        # injected, exactly as the serial sweep's does.
+        assert '["chaos"]["injected"]' in check
+        assert 'injected["chaos_jobs"] == injected["chaos"] > 0' in check
+
     def test_smoke_job_checks_manifest(self, workflow):
         runs = [
             step.get("run", "")

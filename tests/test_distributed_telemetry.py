@@ -338,6 +338,25 @@ class TestLedger:
         assert len(changed) == 1
         assert changed[0][3] - changed[0][2] == 11
 
+    def test_simulate_rate_drift_reported(self):
+        old = {"schema": "repro-sim-sweep/1", "results": [
+            {"scene": "SB", "predicted_rate": 0.25, "verified_rate": 0.5,
+             "memory_savings": 0.0},
+        ]}
+        assert compare_runs(old, old) == []
+        new = json.loads(json.dumps(old))
+        new["results"][0]["verified_rate"] = 0.8
+        new["results"][0]["memory_savings"] = 0.3
+        assert compare_runs(old, new) == [
+            "simulate/SB: verified_rate drifted 60.0% (0.5 -> 0.8)"
+        ]
+
+    def test_bench_vs_simulate_pair_rejected(self):
+        bench = {"schema": "repro-bench/6", "results": []}
+        sim = {"schema": "repro-sim-sweep/1", "results": []}
+        with pytest.raises(LedgerError, match="bench artifact with a simulate"):
+            compare_runs(bench, sim)
+
     def test_unknown_inputs_rejected(self, tmp_path):
         with pytest.raises(LedgerError):
             build_ledger([str(tmp_path / "missing")])

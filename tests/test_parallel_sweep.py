@@ -152,16 +152,20 @@ class TestBenchSharding:
                 fault_plan=UnitFaultPlan(force_fail={"CK": 1}),
                 jobs=jobs,
             )
+            resilience = payload["resilience"]
             return [
                 (e["unit"], e["status"], e["rung"], e["attempts"])
-                for e in payload["resilience"]["manifest"]["units"]
-            ]
+                for e in resilience["manifest"]["units"]
+            ], resilience["chaos"]
 
-        serial = manifest(jobs=1)
+        serial, chaos = manifest(jobs=1)
         assert serial == [
             ("SB", "ok", "wavefront", 1), ("CK", "degraded", "scalar", 2),
         ]
-        assert manifest(jobs=2) == serial
+        assert chaos["injected"] == 1
+        # Injections happen in the workers' copies of the fault plan;
+        # the sharded artifact must still count them.
+        assert manifest(jobs=2) == (serial, chaos)
 
 
 class TestResumeComposition:
