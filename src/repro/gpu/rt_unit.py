@@ -36,20 +36,40 @@ thread, which is exactly the "long tail" that warp repacking removes.
 Predictor *updates* are applied when a ray completes, so a lookup only
 sees training from rays that already finished - the delayed-update
 behaviour that makes sorted rays benefit less (Section 6).
+
+Functional/timing split
+-----------------------
+
+Which entries a ray pops on its traversal from the root depends only on
+the BVH and the ray; the timing model decides only *when* each pop
+happens.  So each run first computes every ray's root traversal in one
+numpy pass (:func:`repro.trace.lockstep.lockstep_occlusion_trace`) and
+compiles it into flat per-pop columns - the pop's cache lines (a slice
+of the per-record line table: one node record, or the leaf's tested
+triangle records, which are contiguous) and its latency, spill penalty
+included - plus per-ray fetch, test and spill totals.  A thread then
+keeps only a cursor into those columns, and a warp step advances it.
+That covers an unpredicted ray's whole traversal and the replay after a
+misprediction or guard restart.  The pops under a predicted node still
+run the scalar box and triangle tests (:meth:`RTUnit._interior_step`,
+:meth:`RTUnit._leaf_step`): their stack starts from nodes the table
+handed out at admission, so they cannot be computed ahead of the run.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import telemetry
 from repro.bvh.nodes import FlatBVH
 from repro.core.predictor import RayPredictor
 from repro.core.repacking import COLLECTOR_CAPACITY, PartialWarpCollector
-from repro.errors import SimulationStallError, TraversalError
+from repro.errors import SimulationStallError
 from repro.geometry.intersect import ray_aabb_intersect, ray_triangle_intersect
 from repro.geometry.ray import RayBatch
 from repro.gpu.config import GPUConfig
@@ -60,6 +80,7 @@ from repro.telemetry.publish import (
     publish_table_stats,
     table_stats_state,
 )
+from repro.trace.lockstep import PopTrace, lockstep_occlusion_trace
 
 #: Marker pushed below predicted nodes; popping it means the prediction
 #: failed and the ray must restart from the root (misprediction recovery).
@@ -71,11 +92,13 @@ class _ThreadState:
     """One ray resident in the ray buffer."""
 
     ray_id: int
-    origin: Tuple[float, float, float]
-    direction: Tuple[float, float, float]
-    inv_direction: Tuple[float, float, float]
-    t_min: float
-    t_max: float
+    #: The ray itself, read only by the scalar step, so a thread loads it
+    #: when it is predicted (replayed pops never test anything).
+    origin: Optional[Tuple[float, float, float]] = None
+    direction: Optional[Tuple[float, float, float]] = None
+    inv_direction: Optional[Tuple[float, float, float]] = None
+    t_min: float = 0.0
+    t_max: float = 0.0
     ray_hash: int = 0
     stack: List[int] = field(default_factory=list)
     ready_time: int = 0
@@ -90,6 +113,35 @@ class _ThreadState:
     verify_node_fetches: int = 0
     verify_tri_fetches: int = 0
     spills: int = 0
+    #: Next row of the root traversal to replay, or -1 while the thread
+    #: pops a predicted stack with the scalar step.
+    cursor: int = -1
+    #: One past the root traversal's last row, and its hit triangle.
+    root_end: int = 0
+    root_hit: int = -1
+
+
+@dataclass
+class _RootTraces:
+    """Every ray's root traversal, compiled for replay.
+
+    Columnar, with no per-pop Python objects: pop ``k`` fetches
+    ``record_lines[rec_lo[k]:rec_hi[k]]`` and completes ``latency[k]``
+    cycles after its data returns.  Records are the BVH nodes, then the
+    triangles, so an interior pop names one record and a leaf pop the
+    contiguous run of triangles it tested (none for an empty leaf).
+    """
+
+    start: List[int]
+    end: List[int]
+    hit: List[int]
+    rec_lo: memoryview
+    rec_hi: memoryview
+    latency: memoryview
+    #: Per-ray totals, charged to the run when a thread replays.
+    node_fetches: np.ndarray
+    tri_fetches: np.ndarray
+    spills: np.ndarray
 
 
 @dataclass
@@ -164,6 +216,12 @@ class RTUnitResult:
     #: DRAM accesses that hit their bank's open row buffer (pure
     #: observability - row state never changes timing).
     dram_row_hits: int = 0
+    #: Threads per warp, the width ``simt_efficiency`` normalizes by.
+    #: Init-only, so ``dataclasses.asdict`` still holds only counters.
+    warp_size: InitVar[int] = 32
+
+    def __post_init__(self, warp_size: int) -> None:
+        self.warp_size = warp_size
 
     @property
     def dram_row_hit_rate(self) -> float:
@@ -205,7 +263,7 @@ class RTUnitResult:
         """Active threads per warp step, normalized to the warp width."""
         if not self.warp_steps:
             return 0.0
-        return self.active_thread_steps / (self.warp_steps * 32)
+        return self.active_thread_steps / (self.warp_steps * self.warp_size)
 
     def rays_per_cycle(self) -> float:
         """Throughput of this RT unit."""
@@ -230,6 +288,13 @@ class RTUnit:
         if config.predictor is not None and predictor is None:
             self.predictor = RayPredictor(bvh, config.predictor)
         self._hot = bvh.hot()
+        # Cache line of every record: the nodes, then the triangles.
+        self._record_lines = memory.line_of(np.concatenate((
+            bvh.node_address(np.arange(bvh.num_nodes, dtype=np.int64)),
+            bvh.triangle_address(np.arange(bvh.num_triangles, dtype=np.int64)),
+        ))).tolist()
+        self._rays: Optional[RayBatch] = None
+        self._roots: Optional[_RootTraces] = None
 
     # ------------------------------------------------------------------
     # Public API
@@ -248,8 +313,56 @@ class RTUnit:
         publish_table_stats(table, since=table_base, engine="scalar")
         return result
 
+    def _trace_roots(self, rays: RayBatch) -> _RootTraces:
+        """Every ray's root traversal, as compact per-pop replay columns."""
+        with telemetry.span("rt_unit.trace", rays=len(rays)) as sp:
+            trace = lockstep_occlusion_trace(self.bvh, rays)
+            sp.add(pops=len(trace))
+            roots = self._compile(trace, len(rays))
+        if telemetry.enabled():
+            telemetry.inc_counter("rt_unit.trace_pops", len(trace))
+        return roots
+
+    def _compile(self, trace: PopTrace, num_rays: int) -> _RootTraces:
+        """Per-pop record ranges and latencies, per-ray totals."""
+        rt = self.rt
+        leaf = self.bvh.left[trace.node] < 0
+        rec_lo = np.where(
+            leaf, self.bvh.num_nodes + self.bvh.first_tri[trace.node], trace.node
+        )
+        rec_hi = rec_lo + np.where(leaf, trace.tris, 1)
+        latency = np.where(
+            leaf,
+            rt.tri_test_latency + np.maximum(trace.tris - 1, 0),
+            rt.box_test_latency + 1,
+        )
+        spilled = trace.depth > rt.stack_entries
+        latency = latency + np.where(spilled, rt.stack_spill_penalty, 0)
+        starts = trace.starts(num_rays)
+
+        def per_ray(values: np.ndarray) -> np.ndarray:
+            totals = np.bincount(trace.ray, weights=values, minlength=num_rays)
+            return totals.astype(np.int64)
+
+        def column(values: np.ndarray) -> memoryview:
+            return memoryview(np.ascontiguousarray(values, dtype=np.int32))
+
+        return _RootTraces(
+            start=starts[:-1].tolist(),
+            end=starts[1:].tolist(),
+            hit=trace.hit[starts[1:] - 1].tolist(),
+            rec_lo=column(rec_lo),
+            rec_hi=column(rec_hi),
+            latency=column(latency),
+            node_fetches=per_ray(~leaf),
+            tri_fetches=per_ray(trace.tris),
+            spills=per_ray(spilled),
+        )
+
     def _run(self, rays: RayBatch) -> RTUnitResult:
         """The discrete-event loop behind :meth:`run`."""
+        self._rays = rays
+        self._roots = roots = self._trace_roots(rays)
         threads = self._make_threads(rays)
         pending = [
             threads[i : i + self.rt.warp_size]
@@ -433,26 +546,34 @@ class RTUnit:
 
         if lane_hist is not None:
             lane_hist.publish(engine="scalar")
-        total_cycles = now
+        # Threads still holding a cursor replayed their whole root
+        # traversal: charge its fetches, tests and spills.
+        replayed = np.array(
+            [t.ray_id for t in threads if t.cursor >= 0], dtype=np.int64
+        )
+        root_nodes = int(roots.node_fetches[replayed].sum())
+        root_tris = int(roots.tri_fetches[replayed].sum())
         l1 = self.memory.l1.stats
         l2 = self.memory.l2.stats
         dram = self.memory.dram.stats
         return RTUnitResult(
-            cycles=total_cycles,
+            cycles=now,
             rays=len(threads),
             hits=sum(1 for t in threads if t.hit_tri >= 0),
             predicted=sum(1 for t in threads if t.predicted),
             verified=sum(1 for t in threads if t.verified),
-            node_fetches=sum(t.node_fetches for t in threads),
-            tri_fetches=sum(t.tri_fetches for t in threads),
+            node_fetches=sum(t.node_fetches for t in threads) + root_nodes,
+            tri_fetches=sum(t.tri_fetches for t in threads) + root_tris,
             misprediction_node_fetches=mis_nodes,
             misprediction_tri_fetches=mis_tris,
-            box_tests=box_tests,
-            tri_tests=tri_tests,
+            box_tests=box_tests + 2 * root_nodes,
+            tri_tests=tri_tests + root_tris,
             warps_executed=warps_executed + collector_warps,
             warp_steps=warp_steps,
             active_thread_steps=active_thread_steps,
-            stack_spills=sum(t.spills for t in threads),
+            stack_spills=(
+                sum(t.spills for t in threads) + int(roots.spills[replayed].sum())
+            ),
             l1_accesses=l1.accesses - l1_before[0],
             l1_hits=l1.hits - l1_before[1],
             l2_accesses=l2.accesses - l2_before[0],
@@ -467,37 +588,36 @@ class RTUnit:
             collector_timeout_flushes=collector.stats.timeout_flushes,
             guard_restarts=guard_restarts,
             dram_row_hits=dram.row_hits - dram_row_before,
+            warp_size=self.rt.warp_size,
         )
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _make_threads(self, rays: RayBatch) -> List[_ThreadState]:
-        threads: List[_ThreadState] = []
-        hashes = None
+        """One thread per ray, each set to replay its root traversal."""
+        roots = self._roots
+        threads = [
+            _ThreadState(
+                ray_id=i,
+                cursor=roots.start[i],
+                root_end=roots.end[i],
+                root_hit=roots.hit[i],
+            )
+            for i in range(len(rays))
+        ]
         if self.predictor is not None:
             hashes = self.predictor.hash_batch(rays.origins, rays.directions)
-        for i in range(len(rays)):
-            ray = rays[i]
-            thread = _ThreadState(
-                ray_id=i,
-                origin=ray.origin,
-                direction=ray.direction,
-                inv_direction=ray.inv_direction(),
-                t_min=ray.t_min,
-                t_max=ray.t_max,
-                stack=[0],
-            )
-            if hashes is not None:
-                thread.ray_hash = int(hashes[i])
-            threads.append(thread)
+            for thread, ray_hash in zip(threads, hashes.tolist()):
+                thread.ray_hash = ray_hash
         return threads
 
     def _predictor_stage(self, group: Sequence[_ThreadState]) -> int:
         """Run lookups for a warp; returns the stage latency in cycles.
 
         Lookups drain through the table's access ports; predicted rays
-        get their predicted node(s) pushed above a restart sentinel.
+        get their predicted node(s) pushed above a restart sentinel and
+        pop them with the scalar step.
         """
         assert self.predictor is not None
         config = self.predictor.config
@@ -507,6 +627,11 @@ class RTUnit:
                 thread.predicted = True
                 # On verification failure the sentinel triggers a root restart.
                 thread.stack = [_RESTART_SENTINEL] + list(reversed(nodes))
+                thread.cursor = -1
+                ray = self._rays[thread.ray_id]
+                thread.origin, thread.direction = ray.origin, ray.direction
+                thread.inv_direction = ray.inv_direction()
+                thread.t_min, thread.t_max = ray.t_min, ray.t_max
         ports = max(1, config.ports)
         return (len(group) + ports - 1) // ports + config.lookup_latency
 
@@ -523,12 +648,14 @@ class RTUnit:
         its warp slot when every thread has completed - so a slow
         (mispredicted) thread still holds the slot, which is precisely
         the cost warp repacking removes.
+
+        A pop on a root traversal replays the next row of the thread's
+        precomputed trace; only pops under a predicted node run the
+        scalar box and triangle tests.
         """
-        hot = self._hot
-        left = hot.left
-        line_of = self.memory.line_of
-        node_base = self.bvh.node_address
-        tri_base = self.bvh.triangle_address
+        roots = self._roots
+        record_lines = self._record_lines
+        rec_lo, rec_hi, pop_latency = roots.rec_lo, roots.rec_hi, roots.latency
 
         out = _StepOutcome(end_time=now, finished=False, active_threads=0)
         # Gather the threads to service and their memory lines.  Lines are
@@ -536,62 +663,38 @@ class RTUnit:
         # coalesce window lets slightly-later threads join the iteration,
         # modeling the per-warp FIFO merge and data broadcast.
         if self.rt.warp_barrier:
-            horizon = None  # every active thread joins the iteration
+            horizon = float("inf")  # every active thread joins the iteration
         else:
             horizon = now + self.rt.coalesce_window
         lines: Dict[int, int] = {}  # line -> completion time (filled below)
         participants: List[Tuple[_ThreadState, List[int], int]] = []
 
         for thread in warp.threads:
-            if thread.done or (horizon is not None and thread.ready_time > horizon):
+            if thread.done or thread.ready_time > horizon:
                 continue
-            if not thread.stack:
+            if thread.cursor < 0:
+                popped = self._scalar_pop(thread, out)
+                if popped is not None:
+                    for line in popped[1]:
+                        lines.setdefault(line, 0)
+                    participants.append(popped)
+                    continue
+                # Restarted: the same step pops the root traversal's root.
+
+            # Replay the next pop of the root traversal.
+            row = thread.cursor
+            if row == thread.root_end:
                 thread.done = True  # traversal exhausted: scene miss
                 self._retire_thread(thread, out)
                 continue
-            node = thread.stack.pop()
-            if node == _RESTART_SENTINEL:
-                # Prediction exhausted without a hit: misprediction.
-                out.mis_node_fetches += thread.verify_node_fetches
-                out.mis_tri_fetches += thread.verify_tri_fetches
-                thread.restarted = True
-                node = 0  # restart the full traversal from the root
-            elif not 0 <= node < len(left):
-                # Speculative stack entry outside the BVH (a corrupted
-                # prediction that bypassed the predictor's range guard).
-                # A negative index would *silently* wrap in the Python
-                # node arrays - the worst possible failure.  Degrade:
-                # discard the speculative stack, charge the verification
-                # traffic as a misprediction, restart from the root.
-                if thread.restarted:
-                    raise TraversalError(
-                        f"ray {thread.ray_id} popped invalid node {node} "
-                        "after a guard restart (corrupted traversal state)",
-                        bad_nodes=[node],
-                        num_nodes=len(left),
-                    )
-                out.mis_node_fetches += thread.verify_node_fetches
-                out.mis_tri_fetches += thread.verify_tri_fetches
-                out.guard_restarts += 1
-                thread.restarted = True
-                thread.stack = []
-                node = 0
-
-            thread_lines: List[int] = []
-            if left[node] < 0:
-                tests = self._leaf_step(thread, node, thread_lines, line_of, tri_base)
-                out.tri_tests += tests
-                latency = self.rt.tri_test_latency + max(0, tests - 1)
-            else:
-                self._interior_step(thread, node, thread_lines, line_of, node_base)
-                out.box_tests += 2
-                latency = self.rt.box_test_latency + 1
-            if len(thread.stack) > self.rt.stack_entries:
-                thread.spills += 1
-                latency += self.rt.stack_spill_penalty
+            thread.cursor = row + 1
+            if row + 1 == thread.root_end and thread.root_hit >= 0:
+                thread.hit_tri = thread.root_hit
+                thread.done = True
+            thread_lines = record_lines[rec_lo[row]:rec_hi[row]]
             for line in thread_lines:
                 lines.setdefault(line, 0)
-            participants.append((thread, thread_lines, latency))
+            participants.append((thread, thread_lines, pop_latency[row]))
 
         out.active_threads = len(participants)
         if not participants:
@@ -613,15 +716,17 @@ class RTUnit:
         # request must re-access the memory system.
         start = self.memory.acquire_scheduler_slot(now)
         inflight = warp.inflight
+        access = self.memory.access_line_time
+        prune_above = 4 * self.rt.warp_size
         for line in lines:
             pending = inflight.get(line)
             if pending is not None and pending >= start:
                 lines[line] = pending
                 continue
-            ready = self.memory.access_line_time(line, start)
+            ready = access(line, start)
             lines[line] = ready
             inflight[line] = ready
-            if len(inflight) > 4 * self.rt.warp_size:
+            if len(inflight) > prune_above:
                 # Prune stale entries opportunistically.
                 warp.inflight = {
                     l: t for l, t in inflight.items() if t >= start
@@ -629,11 +734,19 @@ class RTUnit:
                 inflight = warp.inflight
 
         for thread, thread_lines, latency in participants:
-            data_ready = max((lines[l] for l in thread_lines), default=start + 1)
+            # Conditional expressions, not max(): this loop runs once per
+            # pop, and the builtin's call overhead dominated it.
+            if len(thread_lines) == 1:
+                data_ready = lines[thread_lines[0]]
+            elif thread_lines:
+                data_ready = max([lines[line] for line in thread_lines])
+            else:
+                data_ready = start + 1
             # A thread that joined the iteration early (ready later than
             # `now` but within the window) still pays its residual latency.
-            residual = max(0, thread.ready_time - now)
-            thread.ready_time = max(data_ready, start + residual) + latency
+            residual = thread.ready_time - now
+            floor = start + residual if residual > 0 else start
+            thread.ready_time = (data_ready if data_ready > floor else floor) + latency
             if thread.done:
                 self._retire_thread(thread, out)
 
@@ -648,6 +761,60 @@ class RTUnit:
             out.end_time = max(now + 1, pick)
             out.finished = False
         return out
+
+    def _scalar_pop(
+        self, thread: _ThreadState, out: _StepOutcome
+    ) -> Optional[Tuple[_ThreadState, List[int], int]]:
+        """Pop a predicted stack with the scalar step.
+
+        Returns the participant entry ``(thread, lines, latency)``, or
+        ``None`` when the pop restarted the thread onto its root
+        traversal instead.
+        """
+        node = thread.stack.pop()
+        if node == _RESTART_SENTINEL or not 0 <= node < self.bvh.num_nodes:
+            self._restart(thread, node, out)
+            return None
+        rt = self.rt
+        thread_lines: List[int] = []
+        if self._hot.left[node] < 0:
+            tests = self._leaf_step(
+                thread, node, thread_lines, self.memory.line_of,
+                self.bvh.triangle_address,
+            )
+            out.tri_tests += tests
+            latency = rt.tri_test_latency + max(0, tests - 1)
+        else:
+            self._interior_step(
+                thread, node, thread_lines, self.memory.line_of,
+                self.bvh.node_address,
+            )
+            out.box_tests += 2
+            latency = rt.box_test_latency + 1
+        if len(thread.stack) > rt.stack_entries:
+            thread.spills += 1
+            latency += rt.stack_spill_penalty
+        return thread, thread_lines, latency
+
+    def _restart(self, thread: _ThreadState, node: int, out: _StepOutcome) -> None:
+        """Abandon a predicted stack and replay the root traversal.
+
+        Popping the restart sentinel means the prediction was exhausted
+        without a hit: a misprediction.  Popping a node outside the BVH
+        means a corrupted prediction bypassed the predictor's range
+        guard; a negative index would *silently* wrap in the Python node
+        arrays - the worst possible failure - so the speculative stack is
+        discarded instead.  Either way the verification traffic is
+        charged as a misprediction.  A restarted thread only replays, so
+        it never pops a speculative entry again.
+        """
+        if node != _RESTART_SENTINEL:
+            out.guard_restarts += 1
+        out.mis_node_fetches += thread.verify_node_fetches
+        out.mis_tri_fetches += thread.verify_tri_fetches
+        thread.restarted = True
+        thread.stack = []
+        thread.cursor = self._roots.start[thread.ray_id]
 
     def _interior_step(self, thread, node, thread_lines, line_of, node_base) -> None:
         """Fetch an interior node and box-test both children."""

@@ -140,10 +140,8 @@ class SimOutput:
     @property
     def simt_efficiency(self) -> float:
         """Active threads per warp step / warp width."""
-        steps = self._sum("warp_steps")
-        if not steps:
-            return 0.0
-        return self._sum("active_thread_steps") / (steps * 32)
+        slots = sum(r.warp_steps * r.warp_size for r in self.per_sm)
+        return self._sum("active_thread_steps") / slots if slots else 0.0
 
     def rays_per_cycle(self) -> float:
         """Aggregate throughput: all SMs run concurrently."""

@@ -244,6 +244,23 @@ class TestTimingGate:
         # --check fails the build on cycle/counter drift.
         assert any("--quick" in r and "--check" in r for r in gate)
 
+    def test_smoke_job_runs_golden_test_before_preset_gate(self, workflow):
+        runs = [
+            step.get("run", "")
+            for step in workflow["jobs"]["timing-smoke"]["steps"]
+        ]
+        golden = [
+            i for i, r in enumerate(runs)
+            if "pytest" in r and "tests/test_rt_unit_golden.py" in r
+        ]
+        gate = [
+            i for i, r in enumerate(runs) if "repro bench --preset timing" in r
+        ]
+        assert golden and gate, "timing-smoke must run the golden test and gate"
+        assert golden[0] < gate[0]
+        installs = [r for r in runs[: golden[0]] if "pip install" in r]
+        assert any("pytest" in r and "hypothesis" in r for r in installs)
+
     def test_step_comment_matches_single_engine_gate(self, workflow_text):
         # The timing gate has one engine: its step comment must not
         # promise the removed vector-vs-scalar checks.

@@ -1,5 +1,7 @@
 """Unit tests for the RT-unit timing model and top-level simulator."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import PredictorConfig
@@ -72,6 +74,18 @@ class TestCounters:
     def test_simt_efficiency_range(self, small_bvh, small_workload):
         result = run_unit(small_bvh, small_workload.rays)
         assert 0.0 < result.simt_efficiency <= 1.0
+
+    def test_simt_efficiency_normalizes_by_configured_warp_size(
+        self, small_bvh, small_workload
+    ):
+        config = GPUConfig(num_sms=1, rt_unit=RTUnitConfig(warp_size=64))
+        out = simulate_workload(small_bvh, small_workload.rays, config)
+        (sm,) = out.per_sm
+        lanes = sm.active_thread_steps / (sm.warp_steps * 64)
+        assert sm.simt_efficiency == lanes
+        assert out.simt_efficiency == lanes
+        # The width is init-only: the result's fields stay the counters.
+        assert "warp_size" not in dataclasses.asdict(sm)
 
     def test_l1_stats(self, small_bvh, small_workload):
         result = run_unit(small_bvh, small_workload.rays)

@@ -300,6 +300,26 @@ class TestPipelineIntegration:
                 "predictor.rays", engine="wavefront", scene=scene_code
             ) == total
 
+    def test_rt_unit_trace_span_nests_in_run_and_counts_pops(
+        self, small_bvh, small_workload
+    ):
+        from repro.gpu import GPUConfig, simulate_workload
+        from repro.trace.lockstep import lockstep_occlusion_trace
+
+        rays = small_workload.rays
+        with telemetry.enabled_scope():
+            telemetry.reset_telemetry()
+            simulate_workload(small_bvh, rays, GPUConfig(num_sms=1))
+            events = telemetry.get_tracer().events()
+            pops = telemetry.get_registry().total("rt_unit.trace_pops")
+        (run,) = [e for e in events if e.name == "rt_unit.run"]
+        (trace,) = [e for e in events if e.name == "rt_unit.trace"]
+        assert run.ts_ns <= trace.ts_ns
+        assert trace.ts_ns + trace.dur_ns <= run.ts_ns + run.dur_ns
+        assert pops == trace.args["pops"] == len(
+            lockstep_occlusion_trace(small_bvh, rays)
+        )
+
     def test_scalar_and_wavefront_publish_same_totals(self):
         from repro.analysis.experiments import scaled_predictor_config
         from repro.bvh import build_bvh
