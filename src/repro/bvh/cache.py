@@ -72,10 +72,10 @@ class BVHArtifactCache:
             max_leaf_size: int = 4) -> str:
         """The content address of the BVH these inputs determine.
 
-        The build *engine* is deliberately absent: the vector and
-        scalar builders are contractually array-identical (enforced by
-        the differential suite and the ``bvh_build`` benchmark gate),
-        so both resolve to the same artifact.
+        Misses build with the default (vector) builder; the scalar
+        oracle builder is contractually array-identical (enforced by the
+        differential suite and the ``bvh_build`` benchmark gate), so the
+        key carries no engine.
         """
         material = (
             f"bvh/{FORMAT_VERSION}/{method}/{max_leaf_size}/"
@@ -128,7 +128,7 @@ class BVHArtifactCache:
         return path
 
     def get_or_build(self, mesh: TriangleMesh, method: str = "sah",
-                     max_leaf_size: int = 4, engine: str = "vector") -> FlatBVH:
+                     max_leaf_size: int = 4) -> FlatBVH:
         """The cached BVH for ``mesh``, building and storing on a miss."""
         key = self.key(mesh, method, max_leaf_size)
         bvh = self.load(key)
@@ -138,9 +138,7 @@ class BVHArtifactCache:
             return bvh
         self.misses += 1
         telemetry.inc_counter("artifact_cache.misses")
-        bvh = build_bvh(
-            mesh, method=method, max_leaf_size=max_leaf_size, engine=engine
-        )
+        bvh = build_bvh(mesh, method=method, max_leaf_size=max_leaf_size)
         self.store(key, bvh)
         return bvh
 
@@ -197,21 +195,12 @@ def get_artifact_cache() -> Optional[BVHArtifactCache]:
 
 
 def cached_build_bvh(mesh: TriangleMesh, method: str = "sah",
-                     max_leaf_size: int = 4,
-                     engine: str = "vector") -> FlatBVH:
-    """``build_bvh`` through the active cache (plain build when none).
-
-    ``engine`` selects the builder for a miss only; cache keys ignore it
-    because both engines are array-identical by contract.
-    """
+                     max_leaf_size: int = 4) -> FlatBVH:
+    """``build_bvh`` through the active cache (plain build when none)."""
     cache = get_artifact_cache()
     if cache is None:
-        return build_bvh(
-            mesh, method=method, max_leaf_size=max_leaf_size, engine=engine
-        )
-    return cache.get_or_build(
-        mesh, method=method, max_leaf_size=max_leaf_size, engine=engine
-    )
+        return build_bvh(mesh, method=method, max_leaf_size=max_leaf_size)
+    return cache.get_or_build(mesh, method=method, max_leaf_size=max_leaf_size)
 
 
 __all__ = [

@@ -90,25 +90,6 @@ class FlatBVH:
         self._levels: List[np.ndarray] | None = None
 
     # ------------------------------------------------------------------
-    # Pickling (``sm_jobs`` worker processes)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Drop derived caches so worker-process pickles stay small.
-
-        The hot layout, ancestor tables, depth and triangle-to-leaf maps
-        are all recomputed on demand from the flat arrays; shipping them
-        to ``simulate_workload(..., sm_jobs=N)`` workers only inflates
-        IPC payloads.
-        """
-        state = self.__dict__.copy()
-        state["_depth"] = None
-        state["_ancestors"] = {}
-        state["_hot"] = None
-        state["_tri_to_leaf"] = None
-        state["_levels"] = None
-        return state
-
-    # ------------------------------------------------------------------
     # Basic structure
     # ------------------------------------------------------------------
     @property
@@ -165,7 +146,7 @@ class FlatBVH:
         The depth-ordered schedule the vectorized refit folds over:
         a bottom-up sweep touches ``levels()[-1]`` first and reaches the
         root last, one segmented reduction per depth.  Computed once and
-        cached (dropped on pickle like the other derived views).
+        cached like the other derived views.
         """
         if self._levels is None:
             depth = self.depths()

@@ -83,8 +83,7 @@ class MemoryHierarchy:
         # disabled hot path pays a single attribute check.  Raw bucket
         # layout mirrors Histogram.observe over REUSE_DISTANCE_BUCKETS;
         # the simulator publishes it at run end via
-        # publish_reuse_distances (works across the sm_jobs pickle
-        # boundary because the state is plain ints/dicts).
+        # publish_reuse_distances.
         self._track_reuse = telemetry.enabled()
         self._reuse_last: Dict[int, int] = {}
         self._reuse_index = 0

@@ -102,28 +102,26 @@ def generate_ao_workload(
     height: int = 64,
     spp: int = 2,
     seed: int = 0,
-    engine: str = DEFAULT_ENGINE,
 ) -> AOWorkload:
     """Full Section 5.2 pipeline: primary pass then AO ray generation.
 
     The paper uses 1024x1024 at 4 spp (about four million AO rays); the
     defaults here are scaled for a pure-Python simulator but the knobs are
-    identical.  ``engine`` selects the traversal engine for the primary
-    pass; both engines yield bit-identical hits, so the generated
-    workload does not depend on the choice.
+    identical.  The primary pass uses the default (wavefront) traversal
+    engine.
     """
     with telemetry.span(
         "workload.generate", width=width, height=height, spp=spp,
-        engine=engine,
+        engine=DEFAULT_ENGINE,
     ) as sp:
-        workload = _generate_ao_workload(
-            scene, bvh, width, height, spp, seed, engine
-        )
+        workload = _generate_ao_workload(scene, bvh, width, height, spp, seed)
         sp.add(
             rays=len(workload.rays),
             primary_hits=workload.num_primary_hits,
         )
-    telemetry.inc_counter("workload.ao_rays", len(workload.rays), engine=engine)
+    telemetry.inc_counter(
+        "workload.ao_rays", len(workload.rays), engine=DEFAULT_ENGINE
+    )
     return workload
 
 
@@ -134,12 +132,11 @@ def _generate_ao_workload(
     height: int,
     spp: int,
     seed: int,
-    engine: str,
 ) -> AOWorkload:
     rng = np.random.default_rng(seed)
     camera = PinholeCamera(scene.camera, width, height)
     primary = camera.primary_rays()
-    ts, tris = trace_closest_batch(bvh, primary, engine=engine)
+    ts, tris = trace_closest_batch(bvh, primary)
 
     hit_mask = tris >= 0
     hit_idx = np.nonzero(hit_mask)[0]

@@ -14,7 +14,7 @@ from repro.bvh.nodes import FlatBVH
 from repro.geometry.ray import RayBatch, validate_ray_batch
 from repro.rays.camera import PinholeCamera
 from repro.scenes.scene import Scene
-from repro.trace.traversal import DEFAULT_ENGINE, trace_closest_batch
+from repro.trace.traversal import trace_closest_batch
 
 _SURFACE_EPSILON = 1e-4
 
@@ -24,7 +24,6 @@ def generate_reflection_rays(
     bvh: FlatBVH,
     width: int = 64,
     height: int = 64,
-    engine: str = DEFAULT_ENGINE,
 ) -> RayBatch:
     """One specular reflection ray per primary-hit pixel.
 
@@ -33,7 +32,7 @@ def generate_reflection_rays(
     """
     camera = PinholeCamera(scene.camera, width, height)
     primary = camera.primary_rays()
-    ts, tris = trace_closest_batch(bvh, primary, engine=engine)
+    ts, tris = trace_closest_batch(bvh, primary)
     hit_idx = np.nonzero(tris >= 0)[0]
     if hit_idx.size == 0:
         return RayBatch(np.zeros((0, 3)), np.zeros((0, 3)))

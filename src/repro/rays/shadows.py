@@ -20,7 +20,7 @@ from repro.bvh.nodes import FlatBVH
 from repro.geometry.ray import RayBatch, RayBatchValidation, validate_ray_batch
 from repro.rays.camera import PinholeCamera
 from repro.scenes.scene import Scene
-from repro.trace.traversal import DEFAULT_ENGINE, trace_closest_batch
+from repro.trace.traversal import trace_closest_batch
 
 _SURFACE_EPSILON = 1e-4
 #: Shadow rays stop just short of the light to avoid self-intersection.
@@ -60,19 +60,17 @@ def generate_shadow_workload(
     width: int = 64,
     height: int = 64,
     light: Sequence[float] | None = None,
-    engine: str = DEFAULT_ENGINE,
 ) -> ShadowWorkload:
     """One shadow ray per primary-hit pixel toward ``light``.
 
     Rays carry ``t_max`` equal to the surface-to-light distance (less an
     epsilon), so any hit inside the interval means the pixel is shadowed
     - first-hit termination applies, the predictor's target case.
-    ``engine`` selects the traversal engine for the primary pass.
     """
     light_pos = tuple(light) if light is not None else default_light_position(scene)
     camera = PinholeCamera(scene.camera, width, height)
     primary = camera.primary_rays()
-    ts, tris = trace_closest_batch(bvh, primary, engine=engine)
+    ts, tris = trace_closest_batch(bvh, primary)
     hit_idx = np.nonzero(tris >= 0)[0]
     if hit_idx.size == 0:
         return ShadowWorkload(

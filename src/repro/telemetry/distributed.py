@@ -1,8 +1,8 @@
 """Cross-process telemetry: ship worker state home, merge it losslessly.
 
-The sharded execution paths (``repro bench --jobs N``,
-``repro simulate --jobs N``, ``simulate_workload(sm_jobs=N)``) run each
-unit inside a ``ProcessPoolExecutor`` worker.  Telemetry state is
+The sharded execution paths (``repro bench --jobs N`` and
+``repro simulate --jobs N``) run each unit in a worker process of
+:func:`repro.resilience.sweep.run_units`.  Telemetry state is
 process-global, so before this module existed every counter increment,
 histogram observation, and span recorded inside a worker died with the
 worker - the parent's artifact silently showed only parent-side work.
@@ -23,8 +23,7 @@ The fix is a snapshot/absorb pair riding the existing result path:
   ``trace.json`` shows the whole sharded sweep as separate process rows.
 
 Snapshots are plain JSON-safe dicts (schema :data:`SNAPSHOT_SCHEMA`),
-so they cross the pickle boundary cheaply and can be embedded in
-artifacts verbatim.
+so they can be embedded in artifacts verbatim.
 """
 
 from __future__ import annotations

@@ -126,10 +126,9 @@ def publish_reuse_distances(memory, **labels: object) -> None:
 
     The raw counts accumulate locally on the
     :class:`~repro.gpu.memory.MemoryHierarchy` (tracking is sampled at
-    construction; see ``docs/OBSERVABILITY.md``), so this also works
-    for memory objects shipped back from ``sm_jobs`` workers.  Publish
-    once per run per hierarchy from a single owner (the workload
-    simulator) to avoid double counting.
+    construction; see ``docs/OBSERVABILITY.md``).  Publish once per run
+    per hierarchy from a single owner (the workload simulator) to avoid
+    double counting.
     """
     if not telemetry.enabled():
         return

@@ -116,6 +116,27 @@ class TestArtifact:
         assert "occlusion_trace" in text
         assert "testrun" in text
 
+    def test_predictor_sim_alternates_engines_within_repeats(self, monkeypatch):
+        # A slow stretch of the host must land on both sides of the
+        # gated wavefront-over-scalar ratio, so the engines take turns.
+        from repro.bench import harness
+
+        calls = []
+        real = harness.simulate_predictor
+
+        def recording(*args, engine, **kwargs):
+            calls.append(engine)
+            return real(*args, engine=engine, **kwargs)
+
+        monkeypatch.setattr(harness, "simulate_predictor", recording)
+        preset = BenchPreset(
+            name="alternate", scenes=("SB",), width=6, height=6, spp=1,
+            seed=1, detail=0.25, sim_rays=32, repeats=3,
+            benchmarks=("predictor_sim",),
+        )
+        run_benchmarks(preset)
+        assert calls == ["wavefront", "scalar"] * 3
+
 
 class TestPresetValidation:
     def test_unknown_benchmark_rejected(self):

@@ -263,20 +263,7 @@ class TestSimulator:
 
 
 class TestSharding:
-    def test_sharded_matches_serial_private_l2(self, small_bvh, small_workload):
-        config = GPUConfig(num_sms=2, shared_l2=False)
-        serial = simulate_workload(small_bvh, small_workload.rays, config)
-        sharded = simulate_workload(
-            small_bvh, small_workload.rays, config, sm_jobs=2
-        )
-        assert serial.per_sm == sharded.per_sm
-
-    def test_sharding_rejects_shared_l2(self, small_bvh, small_workload):
-        with pytest.raises(ValueError):
-            simulate_workload(
-                small_bvh, small_workload.rays,
-                GPUConfig(num_sms=2, shared_l2=True), sm_jobs=2,
-            )
+    """Argument checks of ``simulate_workload``."""
 
     @pytest.mark.parametrize("engine", ["simd", "vector"])
     def test_unknown_engine_rejected(self, small_bvh, small_workload, engine):

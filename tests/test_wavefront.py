@@ -43,7 +43,7 @@ def _scene_rays(code, detail=0.3, size=10):
     scene = get_scene(code, detail=detail)
     bvh = build_bvh(scene.mesh)
     rays = generate_ao_workload(
-        scene, bvh, width=size, height=size, spp=1, seed=1, engine="scalar"
+        scene, bvh, width=size, height=size, spp=1, seed=1
     ).rays
     return bvh, rays
 
