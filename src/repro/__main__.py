@@ -133,7 +133,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         in_flight=args.in_flight,
         perturb_rays=args.perturb_rays,
         scene=scene.name,
-        engine=args.engine,
     )
     print(report.summary())
     # A mismatch is the one result this command exists to catch; raise
@@ -318,7 +317,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         detail=args.detail,
         sim_rays=args.rays,
         in_flight=args.in_flight,
-        engine=args.engine,
     )
     default_checkpoint = os.path.join(
         args.out, f"SIM_{preset.name}.checkpoint.json"
@@ -352,7 +350,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         spp=args.spp,
         sim_rays=args.rays,
         rt_rays=args.rays,
-        engine=args.engine,
     )
     if args.quick:
         preset = preset.scaled_for_quick()
@@ -469,8 +466,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="delayed-update window (smaller = more predictions)")
     faults.add_argument("--perturb-rays", action="store_true",
                         help="also inject NaN/inf/zero-direction rays")
-    faults.add_argument("--engine", default="scalar",
-                        help="traversal engine: scalar or wavefront")
 
     from repro.bench import PRESETS
 
@@ -529,8 +524,6 @@ def main(argv: list[str] | None = None) -> int:
     simulate.add_argument("--in-flight", type=int, default=32,
                           dest="in_flight",
                           help="delayed-update window for the predictor")
-    simulate.add_argument("--engine", default="wavefront",
-                          help="traversal engine at the top ladder rung")
     simulate.add_argument("--out", default="results",
                           help="directory for the SIM_*.json artifact")
     _add_parallel_args(simulate)
@@ -550,8 +543,6 @@ def main(argv: list[str] | None = None) -> int:
     tele.add_argument("--spp", type=int, default=2)
     tele.add_argument("--rays", type=int, default=1024,
                       help="rays for the predictor/RT-unit stages")
-    tele.add_argument("--engine", default="wavefront",
-                      help="traversal engine: scalar or wavefront")
     tele.add_argument("--out", default="results/telemetry.json",
                       help="artifact path")
     tele.add_argument("--trace-out", default=None, dest="trace_out",

@@ -60,6 +60,8 @@ import numpy as np
 
 from repro import telemetry
 from repro.bvh.cache import cached_build_bvh
+from repro.bvh.refit import REFIT_ENGINES
+from repro.bvh.vector import BUILD_ENGINES
 from repro.core.simulate import simulate_baseline, simulate_predictor
 from repro.errors import InputValidationError, TelemetryAggregationError
 from repro.faults.injector import UnitFaultPlan
@@ -108,6 +110,11 @@ class BenchRecord:
     extra: Dict[str, float] = field(default_factory=dict)
 
 
+#: Extra key of a ``predictor_sim`` wavefront record: the median of the
+#: per-repeat paired scalar-over-wavefront wall-time ratios, the gated
+#: speedup estimate.
+PAIRED_SPEEDUP = "paired_speedup_over_scalar"
+
 #: Records of one sweep, keyed by (benchmark, scene, engine).
 RecordIndex = Dict[Tuple[str, str, str], BenchRecord]
 
@@ -130,8 +137,6 @@ class SceneUnit:
 
     preset: BenchPreset
     code: str
-    engines: Sequence[str]
-    build_engines: Sequence[str]
     predictor_enabled: bool
     scene: object
     bvh: object = None
@@ -157,7 +162,7 @@ def _trace_records(benchmark: str, unit: SceneUnit) -> Iterable[BenchRecord]:
     repeats = unit.preset.repeats
     # Counters accumulate across repeats; records report the per-run share.
     runs = max(1, repeats)
-    for engine in unit.engines:
+    for engine in ENGINES:
         stats = TraversalStats()
         wall, _ = _timed(
             lambda: trace(unit.bvh, unit.rays, stats=stats, engine=engine),
@@ -184,16 +189,20 @@ def _sim_records(benchmark: str, unit: SceneUnit) -> Iterable[BenchRecord]:
             return simulate_baseline(unit.bvh, sub, engine=engine)
 
     # The simulation trains a fresh table per call, so repeats are
-    # independent.  The engines take turns within each repeat, so a
-    # slow stretch of the host lands on both sides of the speedup
-    # ratio; each engine keeps its best single run.
-    best = dict.fromkeys(unit.engines, float("inf"))
-    results = {}
+    # independent.  One untimed call per engine fills the baseline memo
+    # and warms the caches; then the engines take turns within each
+    # repeat, so a slow stretch of the host lands on both sides of that
+    # repeat's scalar-over-wavefront ratio.  The gated speedup is the
+    # median of those paired ratios; each record keeps its engine's
+    # best single run for trend-watching.
+    results = {engine: run(engine) for engine in ENGINES}
+    walls: Dict[str, List[float]] = {engine: [] for engine in ENGINES}
     for _ in range(max(1, preset.repeats)):
-        for engine in unit.engines:
+        for engine in ENGINES:
             wall, results[engine] = _timed(lambda: run(engine), 1)
-            best[engine] = min(best[engine], wall)
-    for engine in unit.engines:
+            walls[engine].append(wall)
+    paired = [s / w for s, w in zip(walls["scalar"], walls["wavefront"])]
+    for engine in ENGINES:
         result = results[engine]
         extra = {
             "verified_rate": round(result.verified_rate, 6),
@@ -203,8 +212,10 @@ def _sim_records(benchmark: str, unit: SceneUnit) -> Iterable[BenchRecord]:
         }
         if not unit.predictor_enabled:
             extra["predictor_disabled"] = 1.0
+        if engine == "wavefront":
+            extra[PAIRED_SPEEDUP] = round(float(np.median(paired)), 3)
         yield _record(
-            benchmark, unit.code, engine, len(sub), best[engine],
+            benchmark, unit.code, engine, len(sub), min(walls[engine]),
             result.predictor_node_fetches, result.predictor_tri_fetches, extra,
         )
 
@@ -266,7 +277,7 @@ def _build_records(benchmark: str, unit: SceneUnit) -> List[BenchRecord]:
     from repro.bvh.stats import compute_stats
     from repro.bvh.vector import trees_identical
 
-    preset, code, build_engines = unit.preset, unit.code, unit.build_engines
+    preset, code = unit.preset, unit.code
     mesh = unit.scene.mesh
     n = len(mesh)
     records: List[BenchRecord] = []
@@ -274,7 +285,7 @@ def _build_records(benchmark: str, unit: SceneUnit) -> List[BenchRecord]:
     for method in preset.build_methods:
         trees: Dict[str, object] = {}
         method_records: Dict[str, BenchRecord] = {}
-        for engine in build_engines:
+        for engine in BUILD_ENGINES:
             def run(method=method, engine=engine):
                 return build_bvh(mesh, method=method, engine=engine)
 
@@ -289,16 +300,15 @@ def _build_records(benchmark: str, unit: SceneUnit) -> List[BenchRecord]:
             })
             records.append(rec)
             method_records[engine] = rec
-        if "vector" in trees and "scalar" in trees:
-            agree = trees_identical(trees["vector"], trees["scalar"])
-            method_records["vector"].extra["agrees_with_scalar"] = float(agree)
+        agree = trees_identical(trees["vector"], trees["scalar"])
+        method_records["vector"].extra["agrees_with_scalar"] = float(agree)
         if method == "sah" or refit_base is None:
-            refit_base = trees[build_engines[0]]
+            refit_base = trees["vector"]
 
     deformed = jitter_mesh(refit_base.mesh, preset.build_jitter, seed=preset.seed)
     refitted: Dict[str, object] = {}
     refit_records: Dict[str, BenchRecord] = {}
-    for engine in build_engines:
+    for engine in REFIT_ENGINES:
         def run_refit(engine=engine):
             return refit_bvh(refit_base, deformed, engine=engine)
 
@@ -310,11 +320,10 @@ def _build_records(benchmark: str, unit: SceneUnit) -> List[BenchRecord]:
         )
         records.append(rec)
         refit_records[engine] = rec
-    if "vector" in refitted and "scalar" in refitted:
-        agree = np.array_equal(
-            refitted["vector"].lo, refitted["scalar"].lo
-        ) and np.array_equal(refitted["vector"].hi, refitted["scalar"].hi)
-        refit_records["vector"].extra["agrees_with_scalar"] = float(agree)
+    agree = np.array_equal(
+        refitted["vector"].lo, refitted["scalar"].lo
+    ) and np.array_equal(refitted["vector"].hi, refitted["scalar"].hi)
+    refit_records["vector"].extra["agrees_with_scalar"] = float(agree)
     return records
 
 
@@ -325,11 +334,22 @@ def _speedup(slow: Optional[BenchRecord], fast: Optional[BenchRecord]):
     return None
 
 
+def _wave_speedup(by_key: RecordIndex, benchmark: str, code: str):
+    """Scalar-over-wavefront speedup of one benchmark on one scene: the
+    stage's paired estimate (:data:`PAIRED_SPEEDUP`) when it took one,
+    else the ratio of best times; None unless both engines ran."""
+    wave = by_key.get((benchmark, code, "wavefront"))
+    scalar = by_key.get((benchmark, code, "scalar"))
+    if wave is not None and scalar is not None and PAIRED_SPEEDUP in wave.extra:
+        return wave.extra[PAIRED_SPEEDUP]
+    return _speedup(scalar, wave)
+
+
 def _engine_speedup_row(by_key: RecordIndex, benchmark: str) -> dict:
     """Scalar-over-wavefront speedups of one benchmark, per scene."""
     ratios = {
-        code: _speedup(by_key.get((benchmark, code, "scalar")), wave)
-        for (name, code, engine), wave in by_key.items()
+        code: _wave_speedup(by_key, benchmark, code)
+        for (name, code, engine) in by_key
         if name == benchmark and engine == "wavefront"
     }
     return {code: ratio for code, ratio in ratios.items() if ratio is not None}
@@ -343,7 +363,6 @@ def _predictor_row(by_key: RecordIndex, code: str) -> dict:
     engines time on the same host) and the deterministic rates and
     counters copied from the simulation's extras.
     """
-    scalar = by_key.get(("predictor_sim", code, "scalar"))
     wave = by_key.get(("predictor_sim", code, "wavefront"))
     row: Dict[str, object] = {}
     if wave is not None:
@@ -354,7 +373,7 @@ def _predictor_row(by_key: RecordIndex, code: str) -> dict:
             if key in wave.extra
         }
         row["node_fetches"] = wave.node_fetches
-    ratio = _speedup(scalar, wave)
+    ratio = _wave_speedup(by_key, "predictor_sim", code)
     if ratio is not None:
         row["speedup_wavefront_over_scalar"] = ratio
     return row
@@ -760,11 +779,11 @@ PREDICTOR_PRESET = BenchPreset(
     detail=0.7,
     sim_rays=1024,
     benchmarks=("predictor_sim",),
-    # Best-of-5: the gated speedup ratio sits near 2-4x since the
-    # scalar engine's table probes were optimized, so run-to-run jitter
-    # is a larger fraction of the band; extra repeats keep the minimum
-    # estimator stable on small CI runners.
-    repeats=5,
+    # The gated speedup ratio sits near 3-5x and single calls take
+    # ~30 ms (wavefront) and ~130 ms (scalar), so host jitter is a large
+    # fraction of the band: the gate takes the median of 9 paired
+    # per-repeat ratios (see ``_sim_records``).
+    repeats=9,
 )
 
 #: RT-unit timing preset: all seven scenes through the discrete-event
@@ -829,19 +848,13 @@ def _rate(rec: BenchRecord) -> str:
 
 
 def _scene_records(
-    preset: BenchPreset,
-    code: str,
-    engines: Sequence[str],
-    say,
-    predictor_enabled: bool = True,
-    *,
-    build_engines: Sequence[str],
+    preset: BenchPreset, code: str, say, predictor_enabled: bool = True
 ) -> List[BenchRecord]:
     """Run the preset's stages for one scene (one sweep *unit*).
 
-    ``engines`` are the traversal engines timed; ``build_engines`` the
-    BVH builders the ``bvh_build`` benchmark times (the vector builder
-    against its scalar oracle on the full rung).
+    Every stage times all of its engines (:data:`ENGINES`, or the BVH
+    builders' :data:`BUILD_ENGINES`); ``predictor_enabled`` False is
+    the ``predictor_off`` ladder rung.
     """
     # Stages that build their own inputs run first; the cached BVH and
     # the AO workload are built only if a selected stage reads them.
@@ -853,7 +866,7 @@ def _scene_records(
     say(f"[{code}] building scene (detail={preset.detail})")
     with telemetry.label_context(scene=code):
         unit = SceneUnit(
-            preset, code, engines, build_engines, predictor_enabled,
+            preset, code, predictor_enabled,
             scene=get_scene(code, detail=preset.detail),
         )
         for name in selected:
@@ -873,42 +886,18 @@ def _scene_records(
     return records
 
 
-def _rung_plan(
-    engines: Sequence[str], rung: str
-) -> Tuple[Tuple[str, ...], Tuple[str, ...], bool]:
-    """(traversal engines, build engines, predictor_enabled) at ``rung``.
-
-    Rung semantics for a bench unit:
-
-    * ``wavefront``     - the requested traversal engines with the
-      predictor sim on, and the vector builders timed against the
-      scalar oracle (scalar builders only when the caller asked for
-      scalar traversal alone);
-    * ``scalar``        - scalar engines only (lower peak memory);
-    * ``predictor_off`` - scalar engines, predictor-disabled baseline
-      simulation (:func:`repro.core.simulate.simulate_baseline`).
-    """
-    if rung == "wavefront":
-        build = ("vector", "scalar") if "wavefront" in engines else ("scalar",)
-        return tuple(engines), build, True
-    return ("scalar",), ("scalar",), rung != "predictor_off"
-
-
-def _bench_unit(
-    preset: BenchPreset, engines: Tuple[str, ...], code: str, rung: str, say
-) -> dict:
-    """One bench sweep unit: the scene's records at ``rung``."""
-    use_engines, build_engines, predictor_enabled = _rung_plan(engines, rung)
+def _bench_unit(preset: BenchPreset, code: str, rung: str, say) -> dict:
+    """One bench sweep unit: the scene's records at ``rung``.  A rung
+    decides only whether the predictor runs; every rung times the same
+    engines."""
     records = _scene_records(
-        preset, code, use_engines, say,
-        predictor_enabled=predictor_enabled, build_engines=build_engines,
+        preset, code, say, predictor_enabled=rung != "predictor_off"
     )
     return {"records": [asdict(rec) for rec in records]}
 
 
 def run_benchmarks(
     preset: BenchPreset,
-    engines: Sequence[str] = ENGINES,
     scenes: Optional[Sequence[str]] = None,
     progress=None,
     resilience: Optional[ResilienceOptions] = None,
@@ -919,8 +908,9 @@ def run_benchmarks(
     """Run the full benchmark matrix for ``preset``.
 
     Args:
-        preset: the pinned configuration to run.
-        engines: traversal engines to time (default: both).
+        preset: the pinned configuration to run.  Every scene times
+            both traversal engines (:data:`ENGINES`) and both BVH
+            builders, at every rung of the degradation ladder.
         scenes: optional scene-code override (subset runs for quick
             local iteration; the artifact records what actually ran).
         progress: optional callable receiving one-line status strings.
@@ -959,11 +949,11 @@ def run_benchmarks(
         resilience = ResilienceOptions()
     bodies, section = run_units(
         scene_codes,
-        functools.partial(_bench_unit, preset, tuple(engines)),
+        functools.partial(_bench_unit, preset),
         options=resilience,
         fault_plan=fault_plan,
         empty_body={"records": []},
-        fingerprint=sweep_fingerprint(preset, scene_codes, engines),
+        fingerprint=sweep_fingerprint(preset, scene_codes),
         schema=BENCH_SCHEMA,
         jobs=jobs,
         say=progress,
@@ -975,11 +965,7 @@ def run_benchmarks(
     return payload
 
 
-def sweep_fingerprint(
-    preset: BenchPreset,
-    scene_codes: Sequence[str],
-    engines: Sequence[str],
-) -> dict:
+def sweep_fingerprint(preset: BenchPreset, scene_codes: Sequence[str]) -> dict:
     """The configuration identity a checkpoint pins a sweep to, plus
     the artifact cache's identity while the cache is on
     (:func:`~repro.resilience.sweep.pin_cache_identity`)."""
@@ -987,7 +973,6 @@ def sweep_fingerprint(
         "kind": "bench",
         "preset": asdict(preset),
         "scenes": list(scene_codes),
-        "engines": list(engines),
     })
 
 

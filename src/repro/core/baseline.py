@@ -18,6 +18,8 @@ This module memoizes one :class:`BaselineRecord` per
   rays, or the predictor-off baseline.
 * Engine affinity: order-dependent counters differ between the scalar
   and wavefront engines, so records are keyed by engine and never mix.
+  A missing record is filled eagerly for either engine: one batched
+  wavefront pass, or a per-ray scalar traversal loop.
 * Keying: the BVH is keyed by identity (a strong reference is kept and
   re-checked, so a recycled ``id()`` can never alias) and the rays by a
   content digest - sweeps rebuild ``RayBatch`` views freely, and equal
@@ -39,7 +41,9 @@ import numpy as np
 from repro import telemetry
 from repro.bvh.nodes import FlatBVH
 from repro.geometry.ray import RayBatch
-from repro.trace.wavefront import wavefront_occlusion_tri_batch
+from repro.telemetry.stats import TraversalStats
+from repro.trace.traversal import occlusion_any_hit_tri
+from repro.trace.wavefront import resolve_engine, wavefront_occlusion_tri_batch
 
 #: Maximum memoized (bvh, rays, engine) records kept alive.
 CACHE_CAPACITY = 8
@@ -49,51 +53,15 @@ _CacheKey = Tuple[int, str, str]
 
 @dataclass
 class BaselineRecord:
-    """Per-ray full-traversal results and traffic for one ray stream.
-
-    ``known`` tracks lazy (scalar-engine) fills: the wavefront engine
-    computes the whole record in one batched pass, while the scalar
-    engine fills rays as their full traversals happen to run.
-    """
+    """Per-ray full-traversal results and traffic for one ray stream."""
 
     hit_tri: np.ndarray
     node_fetches: np.ndarray
     tri_fetches: np.ndarray
-    known: np.ndarray
     #: Streams served from this record after its first computation.
     hits: int = 0
     #: Strong references pinning the cache key's identity.
     _bvh: Optional[FlatBVH] = field(default=None, repr=False)
-
-    @classmethod
-    def empty(cls, n: int) -> "BaselineRecord":
-        return cls(
-            hit_tri=np.full(n, -1, dtype=np.int64),
-            node_fetches=np.zeros(n, dtype=np.int64),
-            tri_fetches=np.zeros(n, dtype=np.int64),
-            known=np.zeros(n, dtype=bool),
-        )
-
-    def complete(self) -> bool:
-        return bool(self.known.all())
-
-    def record(self, index, hit_tri, node_fetches, tri_fetches) -> None:
-        """Fill rays (lazy scalar path); already-known rays keep their
-        first value (the traversal is deterministic, so they agree)."""
-        fresh = ~self.known[index]
-        if np.isscalar(index):
-            if fresh:
-                self.hit_tri[index] = hit_tri
-                self.node_fetches[index] = node_fetches
-                self.tri_fetches[index] = tri_fetches
-                self.known[index] = True
-            return
-        index = np.asarray(index)
-        sel = index[fresh]
-        self.hit_tri[sel] = np.asarray(hit_tri)[fresh]
-        self.node_fetches[sel] = np.asarray(node_fetches)[fresh]
-        self.tri_fetches[sel] = np.asarray(tri_fetches)[fresh]
-        self.known[sel] = True
 
 
 _CACHE: "OrderedDict[_CacheKey, BaselineRecord]" = OrderedDict()
@@ -108,42 +76,47 @@ def _rays_digest(rays: RayBatch) -> str:
     return h.hexdigest()
 
 
-def baseline_record(
-    bvh: FlatBVH, rays: RayBatch, engine: str, compute: bool = True
-) -> BaselineRecord:
+def _full_traversals(bvh: FlatBVH, rays: RayBatch, engine: str):
+    """(hit_tri, node_fetches, tri_fetches) per ray under ``engine``."""
+    if engine == "wavefront":
+        hit_tri, counters = wavefront_occlusion_tri_batch(bvh, rays, per_ray=True)
+        return hit_tri, counters.node_fetches, counters.tri_fetches
+    n = len(rays)
+    hit_tri = np.empty(n, dtype=np.int64)
+    node_fetches = np.empty(n, dtype=np.int64)
+    tri_fetches = np.empty(n, dtype=np.int64)
+    stats = TraversalStats()
+    for i in range(n):
+        nodes, tris = stats.node_fetches, stats.tri_fetches
+        hit_tri[i] = occlusion_any_hit_tri(bvh, rays[i], stats=stats)
+        node_fetches[i] = stats.node_fetches - nodes
+        tri_fetches[i] = stats.tri_fetches - tris
+    return hit_tri, node_fetches, tri_fetches
+
+
+def baseline_record(bvh: FlatBVH, rays: RayBatch, engine: str) -> BaselineRecord:
     """The memoized baseline record for ``(bvh, rays, engine)``.
 
     Args:
         bvh: acceleration structure (keyed by identity).
         rays: the ray stream (keyed by content digest).
         engine: ``"wavefront"`` or ``"scalar"`` - counters are
-            order-dependent, so records never cross engines.
-        compute: when True and the engine is ``"wavefront"``, a missing
-            or incomplete record is filled eagerly with one batched
-            full-occlusion pass.  Scalar records are always returned
-            lazily (the caller fills rays as it traverses them).
+            order-dependent, so records never cross engines.  A missing
+            record is computed here, whole, under that engine.
     """
+    resolve_engine(engine)
     key: _CacheKey = (id(bvh), engine, _rays_digest(rays))
     record = _CACHE.get(key)
     if record is not None and record._bvh is bvh:
         _CACHE.move_to_end(key)
         record.hits += 1
-    else:
-        record = BaselineRecord.empty(len(rays))
-        record._bvh = bvh
-        _CACHE[key] = record
-        _CACHE.move_to_end(key)
-        while len(_CACHE) > CACHE_CAPACITY:
-            _CACHE.popitem(last=False)
-    if compute and engine == "wavefront" and not record.complete():
-        with telemetry.span("predictor.baseline", engine=engine, rays=len(rays)):
-            hit_tri, counters = wavefront_occlusion_tri_batch(
-                bvh, rays, per_ray=True
-            )
-        record.hit_tri[:] = hit_tri
-        record.node_fetches[:] = counters.node_fetches
-        record.tri_fetches[:] = counters.tri_fetches
-        record.known[:] = True
+        return record
+    with telemetry.span("predictor.baseline", engine=engine, rays=len(rays)):
+        record = BaselineRecord(*_full_traversals(bvh, rays, engine), _bvh=bvh)
+    _CACHE[key] = record
+    _CACHE.move_to_end(key)
+    while len(_CACHE) > CACHE_CAPACITY:
+        _CACHE.popitem(last=False)
     return record
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.bvh.nodes import FlatBVH
 from repro.core.hashing import RayHasher, make_hasher
-from repro.core.vectable import make_table
+from repro.core.vectable import VectorizedPredictorTable
 
 
 @dataclass
@@ -68,10 +68,6 @@ class PredictorConfig:
         lookup_latency: table access latency in cycles (timing model).
         repack: enable warp repacking after prediction (Section 4.4).
         extra_warps: additional warps admitted after repacking (4.4.2).
-        table_impl: predictor-table backend: ``"vector"`` (struct-of-
-            arrays numpy store with batched probes, the default) or
-            ``"scalar"`` (per-entry reference).  The two are
-            order-equivalent; results are identical.
     """
 
     num_entries: int = 1024
@@ -87,7 +83,6 @@ class PredictorConfig:
     lookup_latency: int = 1
     repack: bool = True
     extra_warps: int = 0
-    table_impl: str = "vector"
 
     @property
     def hash_bits(self) -> int:
@@ -112,8 +107,7 @@ class RayPredictor:
             direction_bits=self.config.direction_bits,
             length_ratio=self.config.length_ratio,
         )
-        self.table = make_table(
-            self.config.table_impl,
+        self.table = VectorizedPredictorTable(
             num_entries=self.config.num_entries,
             ways=self.config.ways,
             nodes_per_entry=self.config.nodes_per_entry,

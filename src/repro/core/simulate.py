@@ -204,15 +204,13 @@ def simulate_predictor(
         return result
 
     outcomes: List[PredictionOutcome] = []
-    baseline_nodes = 0
-    baseline_tris = 0
     mis_nodes = 0
     mis_tris = 0
     guard_fallbacks = 0
 
-    # Lazily-memoized per-ray baseline: full traversals recorded here
-    # are reused across configurations sharing this (bvh, rays) unit.
-    base = baseline_record(bvh, rays, "scalar", compute=False)
+    # Memoized per-ray baseline, shared across configurations on this
+    # (bvh, rays) unit: the denominator of the savings metrics.
+    base = baseline_record(bvh, rays, "scalar")
 
     n = len(rays)
     for start in range(0, n, in_flight):
@@ -257,12 +255,6 @@ def simulate_predictor(
                     hit_tri = occlusion_any_hit_tri(bvh, ray, stats=full_stats)
                     outcome.full_node_fetches = full_stats.node_fetches
                     outcome.full_tri_fetches = full_stats.tri_fetches
-                    # The fallback *is* this ray's baseline traversal;
-                    # memoize it for later configurations.
-                    base.record(
-                        i, hit_tri,
-                        full_stats.node_fetches, full_stats.tri_fetches,
-                    )
                     if outcome.predicted:
                         mis_nodes += outcome.verify_node_fetches
                         mis_tris += outcome.verify_tri_fetches
@@ -270,23 +262,6 @@ def simulate_predictor(
                 outcome.hit = hit_tri >= 0
                 if outcome.hit:
                     pending.append((ray_hash, hit_tri))
-
-                # Baseline bookkeeping: for verified rays the full traversal
-                # never ran, so measure it separately (oracle-free baseline,
-                # memoized per ray across configurations).
-                if outcome.verified:
-                    if not base.known[i]:
-                        base_stats = TraversalStats()
-                        base_tri = occlusion_any_hit_tri(bvh, ray, stats=base_stats)
-                        base.record(
-                            i, base_tri,
-                            base_stats.node_fetches, base_stats.tri_fetches,
-                        )
-                    baseline_nodes += int(base.node_fetches[i])
-                    baseline_tris += int(base.tri_fetches[i])
-                else:
-                    baseline_nodes += outcome.full_node_fetches
-                    baseline_tris += outcome.full_tri_fetches
 
                 outcomes.append(outcome)
 
@@ -304,8 +279,8 @@ def simulate_predictor(
             )
 
     result = _finalize_result(
-        outcomes, baseline_nodes, baseline_tris, mis_nodes, mis_tris,
-        guard_fallbacks, keep_outcomes, engine="scalar",
+        outcomes, int(base.node_fetches.sum()), int(base.tri_fetches.sum()),
+        mis_nodes, mis_tris, guard_fallbacks, keep_outcomes, engine="scalar",
     )
     publish_table_stats(table, since=table_base, engine="scalar")
     return result
@@ -314,7 +289,7 @@ def simulate_predictor(
 def simulate_baseline(
     bvh: FlatBVH,
     rays: RayBatch,
-    engine: str = "scalar",
+    engine: str = "wavefront",
 ) -> SimulationResult:
     """Predictor-disabled baseline: plain occlusion traversal, no table.
 
@@ -322,35 +297,24 @@ def simulate_baseline(
     ladder (see :mod:`repro.resilience.degrade`): when the functional
     predictor simulation itself is what keeps failing, a sweep can
     still report exact per-ray occlusion and traversal traffic from a
-    full traversal.  Predictor-side counters mirror the baseline ones
-    (a disabled predictor saves nothing) and the table counters are
-    zero, so downstream consumers see ``memory_savings == 0`` rather
-    than a hole in the artifact.
+    full traversal.  The counters come from the memoized baseline record
+    (:mod:`repro.core.baseline`) of ``engine`` - by default the
+    production wavefront engine, the same record a full-rung
+    :func:`simulate_predictor` run divides its savings by.
+    Predictor-side counters mirror the baseline ones (a disabled
+    predictor saves nothing) and the table counters are zero, so
+    downstream consumers see ``memory_savings == 0`` rather than a hole
+    in the artifact.
     """
-    resolve_engine(engine)
-    n = len(rays)
-    if engine == "wavefront":
-        base = baseline_record(bvh, rays, "wavefront")
-        nodes = int(base.node_fetches.sum())
-        tris = int(base.tri_fetches.sum())
-        hit_mask = base.hit_tri >= 0
-    else:
-        stats = TraversalStats()
-        hit_mask = np.zeros(n, dtype=bool)
-        for i in range(n):
-            hit_mask[i] = occlusion_any_hit_tri(bvh, rays[i], stats=stats) >= 0
-        nodes = stats.node_fetches
-        tris = stats.tri_fetches
-    hits = int(np.count_nonzero(hit_mask))
-    outcomes = [
-        PredictionOutcome(hit=bool(h), full_node_fetches=0, full_tri_fetches=0)
-        for h in hit_mask
-    ]
+    base = baseline_record(bvh, rays, engine)
+    nodes = int(base.node_fetches.sum())
+    tris = int(base.tri_fetches.sum())
+    hit_mask = base.hit_tri >= 0
     result = SimulationResult(
-        num_rays=n,
+        num_rays=len(rays),
         predicted=0,
         verified=0,
-        hits=hits,
+        hits=int(np.count_nonzero(hit_mask)),
         predictor_node_fetches=nodes,
         predictor_tri_fetches=tris,
         baseline_node_fetches=nodes,
@@ -359,7 +323,7 @@ def simulate_baseline(
         misprediction_tri_fetches=0,
         table_lookups=0,
         table_updates=0,
-        outcomes=outcomes,
+        outcomes=[PredictionOutcome(hit=bool(h)) for h in hit_mask],
     )
     publish_simulation_result(result, engine=engine)
     return result

@@ -49,7 +49,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.core.policies import LFUPolicy, LRUKPolicy, LRUPolicy, make_node_policy
-from repro.core.table import NODE_INDEX_BITS, VALID_BITS, PredictorTable, TableStats
+from repro.core.table import NODE_INDEX_BITS, VALID_BITS, TableStats
 
 #: Sentinel for masked argmin reductions over stamps/counts.
 _INF = np.iinfo(np.int64).max
@@ -603,23 +603,4 @@ class VectorizedPredictorTable:
         self._nvalid[:] = False
 
 
-#: Table implementations selectable via ``PredictorConfig.table_impl``.
-TABLE_IMPLS = ("vector", "scalar")
-
-
-def make_table(impl: str = "vector", **kwargs):
-    """Construct a predictor table by implementation name.
-
-    ``"vector"`` is the struct-of-arrays default;  ``"scalar"`` is the
-    per-entry reference implementation kept for differential testing.
-    """
-    if impl == "vector":
-        return VectorizedPredictorTable(**kwargs)
-    if impl == "scalar":
-        return PredictorTable(**kwargs)
-    raise ValueError(
-        f"unknown table implementation {impl!r}; expected one of {TABLE_IMPLS}"
-    )
-
-
-__all__ = ["TABLE_IMPLS", "VectorizedPredictorTable", "make_table"]
+__all__ = ["VectorizedPredictorTable"]

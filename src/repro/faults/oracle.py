@@ -91,7 +91,7 @@ def run_differential_oracle(
     in_flight: int = DEFAULT_IN_FLIGHT,
     perturb_rays: bool = False,
     scene: str = "?",
-    engine: str = "scalar",
+    engine: str = "wavefront",
 ) -> DifferentialReport:
     """Compare baseline vs. predictor-under-injected-faults occlusion.
 
@@ -107,9 +107,10 @@ def run_differential_oracle(
             (exercises the full input boundary, not just the table).
         scene: label used in the report.
         engine: traversal engine for both the baseline batch and the
-            predictor simulation (``"scalar"`` or ``"wavefront"``).  The
-            oracle's contract is engine-independent: corrupted
-            speculation must never change per-ray occlusion under either.
+            predictor simulation: the production ``"wavefront"`` engine,
+            or the ``"scalar"`` reference, which the tests hold to the
+            same contract - corrupted speculation must never change
+            per-ray occlusion under either.
 
     Returns:
         A :class:`DifferentialReport`; check ``report.ok`` or call

@@ -9,9 +9,7 @@ cheaper-but-safer configurations instead of sinking the whole sweep:
 ====================  ==================================================
 rung                  meaning
 ====================  ==================================================
-``wavefront``         full configuration, vectorized wavefront engine
-``scalar``            scalar reference engine (lower peak memory: no
-                      per-level gathered frontiers)
+``wavefront``         full configuration, production engines
 ``predictor_off``     predictor-disabled baseline - plain traversal
                       only, no table, no functional simulation
 ``skip``              give up on the unit, record a diagnostic
@@ -20,6 +18,11 @@ rung                  meaning
 A sweep therefore always terminates, and its artifact carries a
 :class:`PartialResultsManifest` listing what succeeded, what ran
 degraded (and at which rung), and what was skipped and why.
+
+No rung switches engines.  Like the paper's own fallback (verify, then
+a full traversal), stepping down changes cost and never the answer: a
+``predictor_off`` row counts the same production-engine baseline that
+a full-rung row divides its savings by.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 #: The ladder, strongest rung first.  ``skip`` is always last and always
 #: "succeeds" (by recording a diagnostic instead of a result).
-LADDER: Tuple[str, ...] = ("wavefront", "scalar", "predictor_off", "skip")
+LADDER: Tuple[str, ...] = ("wavefront", "predictor_off", "skip")
 
 #: Unit statuses a manifest entry can carry.
 STATUSES: Tuple[str, ...] = ("ok", "degraded", "skipped", "failed", "resumed")

@@ -77,8 +77,9 @@ def classify_failure(exc: BaseException) -> str:
     if isinstance(exc, (SceneLoadError, InputValidationError)):
         # Bad input stays bad at every rung; go straight to the diagnostic.
         return SKIP
-    # Unknown errors are assumed rung-specific (an engine bug the scalar
-    # reference avoids, say); a safer configuration is worth one try.
+    # Unknown errors are assumed rung-specific (a predictor-pipeline bug
+    # the plain baseline avoids, say); a safer configuration is worth
+    # one try.
     return DEGRADE
 
 

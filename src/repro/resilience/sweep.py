@@ -280,7 +280,6 @@ class SimulatePreset:
     detail: float = 0.5
     sim_rays: int = 512
     in_flight: int = 32
-    engine: str = "wavefront"
 
 
 def _simulate_unit(
@@ -288,10 +287,9 @@ def _simulate_unit(
 ) -> dict:
     """Simulate one scene at one ladder rung; returns its checkpoint body.
 
-    The ladder for a simulate unit: the requested engine, then the
-    scalar reference, then the predictor-disabled baseline.
+    Every rung runs the production engine; ``predictor_off`` reports the
+    predictor-disabled baseline of the same rays instead.
     """
-    engine = preset.engine if rung == "wavefront" else "scalar"
     with telemetry.label_context(scene=code):
         scene = get_scene(code, detail=preset.detail)
         bvh = cached_build_bvh(scene.mesh)
@@ -304,18 +302,15 @@ def _simulate_unit(
             np.arange(min(preset.sim_rays, len(workload.rays)))
         )
         if rung == "predictor_off":
-            result = simulate_baseline(bvh, rays, engine="scalar")
+            result = simulate_baseline(bvh, rays)
         else:
-            result = simulate_predictor(
-                bvh, rays, in_flight=preset.in_flight, engine=engine
-            )
+            result = simulate_predictor(bvh, rays, in_flight=preset.in_flight)
     say(
         f"[{code}] verified {result.verified_rate:.1%} "
         f"memory savings {result.memory_savings:+.1%}"
     )
     return {"row": {
         "scene": code,
-        "engine": engine,
         "predictor_enabled": rung != "predictor_off",
         "num_rays": result.num_rays,
         "predicted_rate": round(result.predicted_rate, 6),
@@ -376,7 +371,7 @@ def summarize_sweep(payload: dict) -> str:
     for row in payload["results"]:
         tag = "" if row.get("predictor_enabled", True) else "  [predictor off]"
         lines.append(
-            f"  {row['scene']:4s} {row['engine']:9s} "
+            f"  {row['scene']:4s} "
             f"predicted {row['predicted_rate']:6.1%}  "
             f"verified {row['verified_rate']:6.1%}  "
             f"memory {row['memory_savings']:+7.1%}{tag}"

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -36,7 +35,6 @@ class TelemetryPreset:
     sim_rays: int = 1024
     rt_rays: int = 512
     in_flight: int = 32
-    engine: str = "wavefront"
 
     def scaled_for_quick(self) -> "TelemetryPreset":
         """The CI smoke shape: tiny but still exercising every stage."""
@@ -50,7 +48,6 @@ class TelemetryPreset:
             sim_rays=256,
             rt_rays=256,
             in_flight=self.in_flight,
-            engine=self.engine,
         )
 
 
@@ -76,7 +73,7 @@ def run_telemetry_workload(
     from repro.rays import generate_ao_workload
     from repro.scenes import get_scene
     from repro.telemetry.stats import TraversalStats
-    from repro.trace import trace_occlusion_batch
+    from repro.trace import DEFAULT_ENGINE, trace_occlusion_batch
 
     was_enabled = telemetry.enabled()
     telemetry.enable(reset=True)
@@ -105,20 +102,16 @@ def run_telemetry_workload(
 
             with timer.phase("trace.occlusion"):
                 stats = TraversalStats()
-                trace_occlusion_batch(
-                    bvh, rays, stats=stats, engine=preset.engine
-                )
+                trace_occlusion_batch(bvh, rays, stats=stats)
 
             sim_sub = rays.subset(
                 np.arange(min(preset.sim_rays, len(rays)))
             )
             with timer.phase("sim.predictor"), telemetry.span(
-                "sim.predictor", rays=len(sim_sub), engine=preset.engine
+                "sim.predictor", rays=len(sim_sub), engine=DEFAULT_ENGINE
             ):
                 sim = simulate_predictor(
-                    bvh, sim_sub,
-                    in_flight=preset.in_flight,
-                    engine=preset.engine,
+                    bvh, sim_sub, in_flight=preset.in_flight
                 )
 
             rt_sub = rays.subset(np.arange(min(preset.rt_rays, len(rays))))

@@ -1,16 +1,19 @@
 """Memoized baseline traversal records (repro.core.baseline)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.baseline import (
     CACHE_CAPACITY,
-    BaselineRecord,
     baseline_cache_info,
     baseline_record,
     clear_baseline_cache,
 )
-from repro.trace import trace_occlusion_batch
+from repro.core.simulate import simulate_predictor
+from repro.telemetry.stats import TraversalStats
+from repro.trace import occlusion_any_hit_tri, trace_occlusion_batch
 
 
 @pytest.fixture(autouse=True)
@@ -24,7 +27,7 @@ class TestWavefrontRecord:
     def test_eager_compute_is_complete_and_correct(self, small_bvh, small_workload):
         rays = small_workload.rays
         record = baseline_record(small_bvh, rays, "wavefront")
-        assert record.complete()
+        assert len(record.hit_tri) == len(record.node_fetches) == len(rays)
         # The record's occlusion agrees with the public tracer.
         occluded = trace_occlusion_batch(small_bvh, rays, engine="wavefront")
         assert np.array_equal(record.hit_tri >= 0, occluded)
@@ -59,40 +62,74 @@ class TestWavefrontRecord:
     def test_engines_never_share_records(self, small_bvh, small_workload):
         rays = small_workload.rays
         wave = baseline_record(small_bvh, rays, "wavefront")
-        scalar = baseline_record(small_bvh, rays, "scalar", compute=False)
+        scalar = baseline_record(small_bvh, rays, "scalar")
         assert scalar is not wave
-        assert not scalar.complete()
+        # Both engines agree on *whether* each ray is occluded.
+        assert np.array_equal(scalar.hit_tri >= 0, wave.hit_tri >= 0)
+
+    def test_unknown_engine_rejected(self, small_bvh, small_workload):
+        with pytest.raises(ValueError, match="unknown traversal engine"):
+            baseline_record(small_bvh, small_workload.rays, "warp")
 
 
-class TestScalarLazyFill:
-    def test_record_fills_incrementally(self, small_bvh, small_workload):
+class TestScalarRecord:
+    def test_eager_fill_matches_per_ray_traversal(self, small_bvh, small_workload):
         rays = small_workload.rays
-        record = baseline_record(small_bvh, rays, "scalar", compute=False)
-        record.record(0, 7, 11, 3)
-        assert record.known[0] and not record.known[1:].any()
-        assert record.hit_tri[0] == 7
-        assert not record.complete()
+        record = baseline_record(small_bvh, rays, "scalar")
+        for i in range(0, len(rays), 37):
+            stats = TraversalStats()
+            tri = occlusion_any_hit_tri(small_bvh, rays[i], stats=stats)
+            assert record.hit_tri[i] == tri
+            assert record.node_fetches[i] == stats.node_fetches
+            assert record.tri_fetches[i] == stats.tri_fetches
 
-    def test_known_rays_keep_first_value(self, small_bvh, small_workload):
-        record = baseline_record(
-            small_bvh, small_workload.rays, "scalar", compute=False
-        )
-        record.record(3, 5, 10, 2)
-        record.record(3, 99, 999, 99)  # deterministic traversal: ignored
-        assert record.hit_tri[3] == 5
-        assert record.node_fetches[3] == 10
 
-    def test_vector_fill_skips_known(self):
-        record = BaselineRecord.empty(4)
-        record.record(1, 8, 2, 1)
-        record.record(
-            np.array([0, 1, 2]),
-            np.array([10, 20, 30]),
-            np.array([1, 2, 3]),
-            np.array([4, 5, 6]),
+#: Scalar ``simulate_predictor`` counters on the SP pin workload, in
+#: :class:`~repro.core.simulate.SimulationResult` field order (outcomes
+#: aside), recorded before the scalar baseline record was filled eagerly
+#: (it used to fill lazily, ray by ray, as full traversals ran).
+SCALAR_PIN = (512, 109, 36, 335, 6528, 2569, 6660, 2541, 126, 78, 512, 335, 0)
+
+
+@pytest.fixture(scope="module")
+def pin_unit():
+    """SP at detail 0.3: 8x8 pixels at 8 spp, the first 512 AO rays."""
+    from repro.analysis.experiments import scaled_predictor_config
+    from repro.bvh import build_bvh
+    from repro.rays import generate_ao_workload
+    from repro.scenes import get_scene
+
+    scene = get_scene("SP", detail=0.3)
+    bvh = build_bvh(scene.mesh)
+    rays = generate_ao_workload(
+        scene, bvh, width=8, height=8, spp=8, seed=1
+    ).rays.subset(np.arange(512))
+    return bvh, rays, scaled_predictor_config()
+
+
+class TestScalarReferencePin:
+    def run(self, pin_unit):
+        bvh, rays, config = pin_unit
+        return simulate_predictor(
+            bvh, rays, config, in_flight=4, keep_outcomes=True, engine="scalar"
         )
-        assert np.array_equal(record.hit_tri[:3], [10, 8, 30])
-        assert record.complete() is False  # ray 3 still unknown
+
+    def test_cold_and_warm_memo_agree(self, pin_unit):
+        cold = self.run(pin_unit)
+        assert baseline_cache_info()["entries"] == 1
+        warm = self.run(pin_unit)
+        assert baseline_cache_info()["hits"] == 1
+        assert warm == cold
+        assert len(cold.outcomes) == 512
+
+    def test_counters_match_pin(self, pin_unit):
+        result = self.run(pin_unit)
+        counters = tuple(
+            getattr(result, f.name)
+            for f in dataclasses.fields(result)
+            if f.name != "outcomes"
+        )
+        assert counters == SCALAR_PIN
 
 
 class TestCachePolicy:
@@ -107,15 +144,13 @@ class TestCachePolicy:
 
     def test_lru_eviction_at_capacity(self, small_bvh, small_workload):
         rays = small_workload.rays
-        oldest = baseline_record(small_bvh, rays, "scalar", compute=False)
+        oldest = baseline_record(small_bvh, rays, "scalar")
         for i in range(CACHE_CAPACITY):
             sub = rays.subset(np.arange(2 + i))
-            baseline_record(small_bvh, sub, "scalar", compute=False)
+            baseline_record(small_bvh, sub, "scalar")
         assert baseline_cache_info()["entries"] == CACHE_CAPACITY
         # The untouched first record was evicted; a fresh one comes back.
-        assert baseline_record(
-            small_bvh, rays, "scalar", compute=False
-        ) is not oldest
+        assert baseline_record(small_bvh, rays, "scalar") is not oldest
 
     def test_clear_and_info(self, small_bvh, small_workload):
         baseline_record(small_bvh, small_workload.rays, "wavefront")

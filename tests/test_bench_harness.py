@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import types
 
 import pytest
 
@@ -135,7 +136,48 @@ class TestArtifact:
             benchmarks=("predictor_sim",),
         )
         run_benchmarks(preset)
-        assert calls == ["wavefront", "scalar"] * 3
+        # One untimed warm-up call per engine, then 3 timed repeats.
+        assert calls == ["wavefront", "scalar"] * (1 + 3)
+
+    def test_predictor_speedup_is_median_paired_ratio(self, monkeypatch):
+        # The gated predictor speedup is the median of the per-repeat
+        # scalar/wavefront ratios, not the ratio of the best times.
+        from repro.bench import harness
+
+        walls = iter([
+            0.0, 0.0,  # warm-up calls: untimed
+            1.0, 2.0,  # repeat 1: ratio 2
+            1.0, 9.0,  # repeat 2: ratio 9
+            4.0, 12.0,  # repeat 3: ratio 3
+        ])
+        real = harness.simulate_predictor
+        clock = {"t": 0.0}
+
+        def fake_clock():
+            return clock["t"]
+
+        def stepping(*args, **kwargs):
+            clock["t"] += next(walls)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "simulate_predictor", stepping)
+        monkeypatch.setattr(
+            harness, "time", types.SimpleNamespace(perf_counter=fake_clock)
+        )
+        preset = BenchPreset(
+            name="paired", scenes=("SB",), width=6, height=6, spp=1,
+            seed=1, detail=0.25, sim_rays=32, repeats=3,
+            benchmarks=("predictor_sim",),
+        )
+        payload = run_benchmarks(preset)
+        speed = payload["derived"]["speedup_wavefront_over_scalar"]
+        assert speed["predictor_sim"]["SB"] == 3.0
+        assert payload["derived"]["predictor_throughput"]["SB"][
+            "speedup_wavefront_over_scalar"
+        ] == 3.0
+        # Records keep each engine's best single run (ratio 2.0).
+        best = {r["engine"]: r["wall_time_s"] for r in payload["results"]}
+        assert best == {"wavefront": 1.0, "scalar": 2.0}
 
 
 class TestPresetValidation:
@@ -286,15 +328,39 @@ class TestBuildArtifact:
         assert "bvh_build SB" in text
         assert "agree=True" in text
 
-    def test_scalar_rung_drops_vector_engine(self):
-        # A degraded unit (no "wavefront" in the traversal-engine set)
-        # must time the scalar builders only.
-        payload = run_benchmarks(BUILD_TEST_PRESET, engines=("scalar",))
-        engines = {r["engine"] for r in payload["results"]}
-        assert engines == {"scalar"}
-        section = payload["derived"]["bvh_build"]["SB"]
-        assert "engines_agree" not in section
-        assert "speedup_vector_over_scalar" not in section["methods"]["sah"]
+    def test_predictor_off_rung_keeps_every_engine(self):
+        # A degraded unit only switches the predictor off: it still
+        # times both traversal engines and both BVH builders, and the
+        # vector builders still match the scalar oracles.
+        from dataclasses import replace
+
+        from repro.faults.injector import UnitFaultPlan
+        from repro.resilience import ResilienceOptions
+
+        preset = replace(
+            BUILD_TEST_PRESET, sim_rays=32,
+            benchmarks=("occlusion_trace", "predictor_sim", "bvh_build"),
+        )
+        payload = run_benchmarks(
+            preset,
+            resilience=ResilienceOptions(max_retries=0, sleep=lambda _: None),
+            fault_plan=UnitFaultPlan(force_fail={"SB": 1}),
+        )
+        (entry,) = payload["resilience"]["manifest"]["units"]
+        assert (entry["status"], entry["rung"]) == ("degraded", "predictor_off")
+        engines = {}
+        for record in payload["results"]:
+            engines.setdefault(record["benchmark"], set()).add(record["engine"])
+        assert engines["occlusion_trace"] == {"wavefront", "scalar"}
+        assert engines["predictor_sim"] == {"wavefront", "scalar"}
+        for name in ("bvh_build_sah", "bvh_build_median", "bvh_build_lbvh",
+                     "bvh_refit"):
+            assert engines[name] == {"vector", "scalar"}
+        assert all(
+            r["extra"]["predictor_disabled"] == 1.0
+            for r in payload["results"] if r["benchmark"] == "predictor_sim"
+        )
+        assert payload["derived"]["bvh_build"]["SB"]["engines_agree"] is True
 
 
 class TestBuildRegressionGate:

@@ -56,7 +56,7 @@ SIM_PRESET = SimulatePreset(
 #: Wall-clock-derived fields that legitimately differ between runs.
 TIMING_KEYS = frozenset(
     {"wall_time_s", "rays_per_sec", "speedup_wavefront_over_scalar",
-     "total_backoff_s"}
+     "paired_speedup_over_scalar", "total_backoff_s"}
 )
 
 

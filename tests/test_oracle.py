@@ -1,6 +1,5 @@
 """Unit tests for the limit-study oracles (Section 6.3)."""
 
-import dataclasses
 import math
 
 import pytest
@@ -120,19 +119,28 @@ class TestLimitStudyPins:
             r.table_updates,
         ) == PINNED_COUNTS[kind]
 
-    def test_oracle_lookup_scalar_vs_vector_table(self, small_bvh, small_workload):
-        kinds = [OracleKind.ORACLE_LOOKUP]
-        results = [
-            run_limit_study(
+    def test_oracle_lookup_scalar_vs_vector_table(
+        self, monkeypatch, small_bvh, small_workload
+    ):
+        import repro.core.predictor as predictor_module
+        from repro.core.table import PredictorTable
+
+        def study():
+            return run_limit_study(
                 small_bvh,
                 small_workload.rays,
-                dataclasses.replace(CFG, table_impl=impl),
-                kinds=kinds,
+                CFG,
+                kinds=[OracleKind.ORACLE_LOOKUP],
                 in_flight=64,
             )[OracleKind.ORACLE_LOOKUP]
-            for impl in ("scalar", "vector")
-        ]
-        assert results[0] == results[1]
+
+        vector = study()
+        # The scalar reference table, injected where the predictor
+        # builds its store.
+        monkeypatch.setattr(
+            predictor_module, "VectorizedPredictorTable", PredictorTable
+        )
+        assert study() == vector
 
     @pytest.mark.parametrize("in_flight", [1, 64, 100])
     def test_oracle_lookup_snapshots_once_per_window(

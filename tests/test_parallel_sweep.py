@@ -32,7 +32,6 @@ from repro.resilience.sweep import (
     run_simulation_sweep,
     sim_fingerprint,
 )
-from repro.trace.wavefront import ENGINES
 
 #: Two tiny scenes so sharding across 2 workers is non-trivial.
 PAR_PRESET = BenchPreset(
@@ -60,7 +59,7 @@ SIM_PRESET = SimulatePreset(
 #: Fields that legitimately differ between runs (wall-clock derived).
 TIMING_KEYS = frozenset(
     {"wall_time_s", "rays_per_sec", "speedup_wavefront_over_scalar",
-     "total_backoff_s"}
+     "paired_speedup_over_scalar", "total_backoff_s"}
 )
 
 
@@ -77,7 +76,7 @@ SWEEPS = {
 CHECKPOINT_FORMAT = {
     "bench": (
         BENCH_SCHEMA,
-        lambda: sweep_fingerprint(PAR_PRESET, PAR_PRESET.scenes, ENGINES),
+        lambda: sweep_fingerprint(PAR_PRESET, PAR_PRESET.scenes),
         "records",
         "wall_time_s",
     ),
@@ -160,7 +159,7 @@ class TestBenchSharding:
 
         serial, chaos = manifest(jobs=1)
         assert serial == [
-            ("SB", "ok", "wavefront", 1), ("CK", "degraded", "scalar", 2),
+            ("SB", "ok", "wavefront", 1), ("CK", "degraded", "predictor_off", 2),
         ]
         assert chaos["injected"] == 1
         # Injections happen in the workers' copies of the fault plan;
@@ -260,10 +259,10 @@ class TestSimulateSharding:
 
 class TestCacheFingerprint:
     def test_bench_fingerprint_tracks_cache_identity(self, tmp_path):
-        bare = sweep_fingerprint(PAR_PRESET, PAR_PRESET.scenes, ("scalar",))
+        bare = sweep_fingerprint(PAR_PRESET, PAR_PRESET.scenes)
         assert "artifact_cache" not in bare
         configure_artifact_cache(str(tmp_path))
-        cached = sweep_fingerprint(PAR_PRESET, PAR_PRESET.scenes, ("scalar",))
+        cached = sweep_fingerprint(PAR_PRESET, PAR_PRESET.scenes)
         assert cached["artifact_cache"]["enabled"] is True
         stripped = copy.deepcopy(cached)
         del stripped["artifact_cache"]
